@@ -1,58 +1,28 @@
 #
 # Render the midpoint subgradient flow around a planted vector, plus the
 # certifier-agreement grid behind it, for the 2-d instances used in the
-# writeup. Outputs land in scripts/out/.
+# writeup. Both come from the command line front end (`flow` and
+# `landscape`), so the CSV has the landscape columns, x varying fastest.
+# Outputs land in scripts/out/.
 #
 
-import csv
 import os
 
-import numpy as np
-
-from l1landscape import GridSpec, flow_field
-from l1landscape.cli import render_flow_svg
-from l1landscape.stationarity import is_stationary_closed_form, is_stationary_lp
+from l1landscape.cli import main
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 os.makedirs(OUT_DIR, exist_ok=True)
 
+instances = {"symmetric": "1,1", "lopsided": "2,0.5"}
+grid = ["--xmin", "-2.5", "--xmax", "2.5", "--ymin", "-2.5", "--ymax", "2.5",
+        "--nx", "31", "--ny", "31"]
 
-# ---------------------------
-# Instances and grid
-# ---------------------------
-instances = {
-    "symmetric": np.array([1.0, 1.0]),
-    "lopsided": np.array([2.0, 0.5]),
-}
-grid = GridSpec(xmin=-2.5, xmax=2.5, ymin=-2.5, ymax=2.5, nx=31, ny=31)
-
-
-# --- Flow field SVG per instance. The arrows are unit negative midpoint
-# subgradients; stationary points show up as dots where the field vanishes.
+# The arrows are unit negative midpoint subgradients; stationary points show
+# up as dots where the field vanishes. Both certifiers should agree on every
+# grid point; `landscape` exits 2 and says how many points disagree otherwise.
 for name, ustar in instances.items():
-    points, directions = flow_field(ustar, grid)
-    svg = render_flow_svg(points, directions, ustar, grid)
-    path = os.path.join(OUT_DIR, f"flow_{name}.svg")
-    with open(path, "w") as fh:
-        fh.write(svg)
-    print(f"wrote {path}")
-
-
-# --- Certifier agreement sweep on the same grid. Both routes should agree
-# everywhere; any "false" in the last column is worth a close look.
-for name, ustar in instances.items():
-    path = os.path.join(OUT_DIR, f"landscape_{name}.csv")
-    disagreements = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "kind_closed_form", "kind_lp", "agree"])
-        for x in np.linspace(grid.xmin, grid.xmax, grid.nx):
-            for y in np.linspace(grid.ymin, grid.ymax, grid.ny):
-                u = np.array([x, y])
-                a = is_stationary_closed_form(u, ustar)
-                b = is_stationary_lp(u, ustar)
-                agree = a.is_stationary == b.is_stationary and a.kind == b.kind
-                disagreements += not agree
-                writer.writerow([f"{x:.17g}", f"{y:.17g}", a.kind, b.kind,
-                                 str(agree).lower()])
-    print(f"wrote {path} ({disagreements} disagreements)")
+    for command, path in (("flow", f"flow_{name}.svg"),
+                          ("landscape", f"landscape_{name}.csv")):
+        path = os.path.join(OUT_DIR, path)
+        code = main([command, "-g", ustar, *grid, "-o", path])
+        print(f"wrote {path} (exit {code})")

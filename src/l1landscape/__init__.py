@@ -31,7 +31,6 @@ from .firstorder import (
 from .lpcore import EPS_LP, BoxEqLP, LPResult, NumericalFailureError, solve
 from .secondorder import (
     PointClassification,
-    SecondOrderFace,
     classify_point,
     escape_curvature,
     second_subderivative,

@@ -326,17 +326,15 @@ def cmd_landscape(settings: Settings) -> int:
     writer.writerow(["x", "y", "stationary_closed_form", "kind_closed_form",
                      "stationary_lp", "kind_lp", "agree"])
     disagreements = 0
-    for y in np.linspace(grid.ymin, grid.ymax, grid.ny):
-        for x in np.linspace(grid.xmin, grid.xmax, grid.nx):
-            u = np.array([x, y])
-            cf = is_stationary_closed_form(u, g, eps_zero)
-            lp = is_stationary_lp(u, g, eps_zero, eps_lp)
-            agree = cf.is_stationary == lp.is_stationary and cf.kind == lp.kind
-            disagreements += 0 if agree else 1
-            writer.writerow([f"{x:.17g}", f"{y:.17g}",
-                             str(cf.is_stationary).lower(), cf.kind,
-                             str(lp.is_stationary).lower(), lp.kind,
-                             str(agree).lower()])
+    for u in grid.points():
+        cf = is_stationary_closed_form(u, g, eps_zero)
+        lp = is_stationary_lp(u, g, eps_zero, eps_lp)
+        agree = cf.is_stationary == lp.is_stationary and cf.kind == lp.kind
+        disagreements += 0 if agree else 1
+        writer.writerow([f"{u[0]:.17g}", f"{u[1]:.17g}",
+                         str(cf.is_stationary).lower(), cf.kind,
+                         str(lp.is_stationary).lower(), lp.kind,
+                         str(agree).lower()])
     _emit(buf.getvalue(), settings.get("out"))
     if disagreements:
         print(f"{disagreements} grid points with certifier disagreement",

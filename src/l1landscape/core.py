@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lpcore import EPS_LP
+
 # Residual entries with |r_ij| <= EPS_ZERO are classified as exact zeros.
 EPS_ZERO = 1e-9
 
@@ -122,7 +124,9 @@ class SubdifferentialModel:
 
     The represented set is {S u : S symmetric, S_ij = fixed_sign_ij on fixed
     entries, S_ij in [-1, 1] on free pairs}. A free unordered pair {i, j}
-    carries a single scalar (symmetry), listed once with i <= j.
+    carries a single scalar (symmetry), listed once with i <= j. The matrices
+    S with S u = 0 form the second-order face Q(u): free values x with
+    pair_matrix() @ x = -fixed_vector(), assembled by assemble(x).
     """
 
     fixed_sign: np.ndarray               # (n, n) int8, 0 on free entries
@@ -147,11 +151,8 @@ class SubdifferentialModel:
         u = self.base_point
         m = np.zeros((self.dim, len(self.free_pairs)))
         for p, (i, j) in enumerate(self.free_pairs):
-            if i == j:
-                m[i, p] = u[i]
-            else:
-                m[i, p] = u[j]
-                m[j, p] = u[i]
+            m[i, p] = u[j]   # a diagonal pair writes u_i twice
+            m[j, p] = u[i]
         return m
 
     def assemble(self, free_values) -> np.ndarray:
@@ -161,6 +162,19 @@ class SubdifferentialModel:
             s[i, j] = v
             s[j, i] = v
         return s
+
+    def contains(self, q, eps_lp: float = EPS_LP) -> bool:
+        """Whether q lies in the second-order face: symmetric, inside the
+        sign boxes, and annihilating base_point, each up to eps_lp."""
+        q = np.asarray(q, dtype=float)
+        if not np.allclose(q, q.T, atol=eps_lp):
+            return False
+        free = self.fixed_sign == 0
+        if np.abs(np.where(free, 0.0, q - self.fixed_sign)).max() > eps_lp:
+            return False
+        if np.abs(q[free]).max(initial=0.0) > 1.0 + eps_lp:
+            return False
+        return float(np.abs(q @ self.base_point).max()) <= eps_lp
 
 
 def subdifferential_model(u, ustar, eps_zero: float = EPS_ZERO) -> SubdifferentialModel:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import EPS_ZERO, MIDPOINT, _pair, as_vector, objective, subgradient_select
-from .stationarity import distance_to_ground_truths, project_to_spurious_set
+from .stationarity import _spurious_distance, distance_to_ground_truths
 
 INV_K = "inv_k"
 INV_SQRT_K = "inv_sqrt_k"
@@ -92,12 +92,6 @@ class Trajectory:
     @property
     def final_point(self) -> np.ndarray:
         return self.points[-1]
-
-
-def _spurious_distance(u, ustar):
-    if np.abs(ustar).max() == 0.0:
-        return float(np.linalg.norm(u))
-    return project_to_spurious_set(u, ustar)[1]
 
 
 def run_subgradient(u0, ustar, schedule: StepSchedule,
@@ -295,6 +289,12 @@ class GridSpec:
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("grid bounds must be increasing")
 
+    def points(self) -> np.ndarray:
+        """All grid points as an (nx * ny, 2) array, x varying fastest."""
+        xs, ys = np.meshgrid(np.linspace(self.xmin, self.xmax, self.nx),
+                             np.linspace(self.ymin, self.ymax, self.ny))
+        return np.column_stack([xs.ravel(), ys.ravel()])
+
 
 def flow_field(ustar, grid: GridSpec = GridSpec()):
     """Negative midpoint-subgradient directions on a 2-D grid.
@@ -306,17 +306,10 @@ def flow_field(ustar, grid: GridSpec = GridSpec()):
     ustar = as_vector(ustar)
     if ustar.size != 2:
         raise ValueError("flow field is two-dimensional")
-    xs = np.linspace(grid.xmin, grid.xmax, grid.nx)
-    ys = np.linspace(grid.ymin, grid.ymax, grid.ny)
-    points = np.empty((grid.nx * grid.ny, 2))
-    directions = np.empty((grid.nx * grid.ny, 2))
-    row = 0
-    for y in ys:
-        for x in xs:
-            u = np.array([x, y])
-            g = subgradient_select(u, ustar, MIDPOINT)
-            norm = float(np.linalg.norm(g))
-            points[row] = u
-            directions[row] = 0.0 if norm == 0.0 else -g / norm
-            row += 1
+    points = grid.points()
+    directions = np.empty_like(points)
+    for row, u in enumerate(points):
+        g = subgradient_select(u, ustar, MIDPOINT)
+        norm = float(np.linalg.norm(g))
+        directions[row] = 0.0 if norm == 0.0 else -g / norm
     return points, directions

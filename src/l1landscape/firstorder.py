@@ -79,22 +79,17 @@ class CriticalConeDescriptor:
 def directional_derivative(u, ustar, w, eps_zero: float = EPS_ZERO) -> float:
     """df(u)(w) = max over the sign boxes of <sym(S) u, w>.
 
-    Fixed entries of the pattern give the linear term <sigma u, w>; a free
-    diagonal entry (i,i) adds |u_i w_i| and a free off-diagonal pair {i,j}
-    adds |u_i w_j + u_j w_i|, each maximized over its own [-1, 1] box.
+    Fixed entries of the pattern give the linear term <sigma u, w>; free
+    pair d adds |(M^T w)_d| for the model's pair_matrix M (|u_i w_i| on a
+    diagonal pair, |u_i w_j + u_j w_i| off it), each maximized over its own
+    [-1, 1] box.
     """
     u, ustar = _pair(u, ustar)
     w = as_vector(w)
     if w.size != u.size:
         raise ValueError("direction dimension mismatch")
     model = subdifferential_model(u, ustar, eps_zero)
-    total = float(model.fixed_vector() @ w)
-    for i, j in model.free_pairs:
-        if i == j:
-            total += abs(u[i] * w[i])
-        else:
-            total += abs(u[i] * w[j] + u[j] * w[i])
-    return total
+    return float(model.fixed_vector() @ w) + float(np.abs(model.pair_matrix().T @ w).sum())
 
 
 def critical_cone(u, ustar, eps_zero: float = EPS_ZERO,

@@ -25,6 +25,12 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 NUMERICAL_FAILURE = "numerical_failure"
 
+# Why a solve did not end OPTIMAL.
+SINGULAR_BASIS = "singular basis"
+PIVOT_BUDGET = "pivot budget exhausted"
+RESIDUAL_ABOVE_EPS = "residual above eps"
+ROWS_UNMET = "equality rows unmet after phase 1"
+
 # Nonbasic variables sit at a bound; the basic ones are solved from A x = b.
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
@@ -33,7 +39,7 @@ _RATIO_TOL = 1e-11
 
 
 class NumericalFailureError(RuntimeError):
-    """The solver hit its pivot budget or produced an unusable solution."""
+    """An LP that should have solved did not; the message gives its reason."""
 
 
 @dataclass
@@ -71,21 +77,23 @@ class LPResult:
     value: float
     solution: np.ndarray | None
     residual_norm: float
+    reason: str | None = None  # set whenever status is not OPTIMAL
 
 
 def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
-    """Run primal pivots in place; return (pivots_used, finished)."""
+    """Run primal pivots in place; return (pivots_used, stop), where stop is
+    None at optimality, else PIVOT_BUDGET or SINGULAR_BASIS."""
     m = len(basis)
     n = len(c)
     pivots = 0
     while True:
         if pivots >= budget:
-            return pivots, False
+            return pivots, PIVOT_BUDGET
         bmat = a[:, basis] if m else np.zeros((0, 0))
         try:
             y = np.linalg.solve(bmat.T, c[basis]) if m else np.zeros(0)
         except np.linalg.LinAlgError:
-            return pivots, False
+            return pivots, SINGULAR_BASIS
         d = c - (a.T @ y) if m else c.copy()
         eligible = (
             (((vstat == _AT_LOWER) & (d > _REDUCED_COST_TOL))
@@ -94,14 +102,14 @@ def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
         )
         idx = np.flatnonzero(eligible)
         if idx.size == 0:
-            return pivots, True
+            return pivots, None
         enter = int(idx[0])  # Bland: smallest eligible index
         direction = 1.0 if vstat[enter] == _AT_LOWER else -1.0
 
         try:
             col = np.linalg.solve(bmat, a[:, enter]) if m else np.zeros(0)
         except np.linalg.LinAlgError:
-            return pivots, False
+            return pivots, SINGULAR_BASIS
         t_flip = hi[enter] - lo[enter]
         if m:
             g = direction * col
@@ -146,7 +154,8 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     Phase 1 drives artificial slack on each row to zero (INFEASIBLE when it
     cannot); phase 2 then optimizes the real objective with the artificials
     pinned at zero. Pivots in both phases share one budget of
-    10 * (k + m)^2, after which the result is NUMERICAL_FAILURE.
+    10 * (k + m)^2, after which the result is NUMERICAL_FAILURE. Every
+    result that is not OPTIMAL says why in its reason.
     """
     if eps_lp <= 0:
         raise ValueError("eps_lp must be positive")
@@ -162,9 +171,9 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
 
     if m == 0:
         basis = np.zeros(0, dtype=int)
-        _, finished = _simplex(a, b, lp.lower, lp.upper, lp.objective, x, vstat, basis, budget)
-        if not finished:
-            return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan)
+        _, stop = _simplex(a, b, lp.lower, lp.upper, lp.objective, x, vstat, basis, budget)
+        if stop:
+            return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, stop)
         return LPResult(OPTIMAL, float(lp.objective @ x), x, 0.0)
 
     r = b - a @ x
@@ -177,26 +186,26 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     basis = np.arange(k, k + m)
 
     c1 = np.concatenate([np.zeros(k), -np.ones(m)])
-    used, finished = _simplex(a1, b, lo1, hi1, c1, x1, vstat1, basis, budget)
-    if not finished:
-        return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan)
+    used, stop = _simplex(a1, b, lo1, hi1, c1, x1, vstat1, basis, budget)
+    if stop:
+        return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 1")
     infeas = float(np.abs(b - a @ x1[:k]).max())
     if infeas > eps_lp:
-        return LPResult(INFEASIBLE, np.nan, None, infeas)
+        return LPResult(INFEASIBLE, np.nan, None, infeas, ROWS_UNMET)
 
     # Pin artificials at zero so phase 2 cannot reopen the rows.
     lo1[k:] = 0.0
     hi1[k:] = 0.0
     x1[k:] = 0.0
     c2 = np.concatenate([lp.objective, np.zeros(m)])
-    _, finished = _simplex(a1, b, lo1, hi1, c2, x1, vstat1, basis, budget - used)
-    if not finished:
-        return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan)
+    _, stop = _simplex(a1, b, lo1, hi1, c2, x1, vstat1, basis, budget - used)
+    if stop:
+        return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 2")
 
     xs = x1[:k]
     residual_norm = float(np.abs(a @ xs - b).max())
     if residual_norm > eps_lp:
-        return LPResult(NUMERICAL_FAILURE, np.nan, xs, residual_norm)
+        return LPResult(NUMERICAL_FAILURE, np.nan, xs, residual_norm, RESIDUAL_ABOVE_EPS)
     return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm)
 
 
@@ -246,7 +255,8 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     res = solve(BoxEqLP(lo, hi, rows, np.zeros(2 * m), c), eps_lp)
     if res.status != OPTIMAL:
         # The reformulation is feasible for every box, so this is numerics.
-        raise NumericalFailureError(f"epigraph solve ended with status {res.status}")
+        raise NumericalFailureError(
+            f"epigraph solve ended with status {res.status}: {res.reason}")
     value = max(-res.value, 0.0) + 0.0  # normalize -0.0
     if return_point:
         return value, res.solution[:k]

@@ -16,25 +16,19 @@ to cross-check the linear-programming route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EPS_ZERO, MIDPOINT, _pair, as_vector, objective, subdifferential_model, subgradient_select
 from .firstorder import EPS_DIR, NotStationaryError, directional_derivative
-from .lpcore import (
-    EPS_LP,
-    OPTIMAL,
-    BoxEqLP,
-    NumericalFailureError,
-    feasibility_min_infinity_norm,
-    solve,
-)
+from .lpcore import EPS_LP, OPTIMAL, BoxEqLP, NumericalFailureError, solve
 from .stationarity import (
     GROUND_TRUTH_MINUS,
     GROUND_TRUTH_PLUS,
     SPURIOUS,
     is_stationary_closed_form,
+    min_norm_element,
 )
 
 GLOBAL_MIN = "global_min"
@@ -48,56 +42,6 @@ RHO = 0.5
 K_MAX = 12
 DELTA_W = 1e-3
 BALL_SAMPLES = 64
-
-
-@dataclass
-class SecondOrderFace:
-    """The matrices Q in Sign(residual) ∩ Sym with Q u = 0, parametrized.
-
-    fixed_part holds the sign-determined entries (zeros elsewhere); each free
-    pair contributes one coordinate in [-1, 1]; kernel_matrix @ v =
-    kernel_rhs expresses Q u = 0 over those coordinates.
-    """
-
-    fixed_part: np.ndarray = field(repr=False)
-    free_pairs: list[tuple[int, int]]
-    kernel_matrix: np.ndarray = field(repr=False)
-    kernel_rhs: np.ndarray = field(repr=False)
-    base_point: np.ndarray = field(repr=False)
-
-    def member(self, free_values) -> np.ndarray:
-        free_values = np.asarray(free_values, dtype=float)
-        q = self.fixed_part.copy()
-        for (i, j), v in zip(self.free_pairs, free_values):
-            q[i, j] = v
-            q[j, i] = v
-        return q
-
-    def contains(self, q, eps_lp: float = EPS_LP) -> bool:
-        q = np.asarray(q, dtype=float)
-        if not np.allclose(q, q.T, atol=eps_lp):
-            return False
-        free = np.zeros(self.fixed_part.shape, dtype=bool)
-        for i, j in self.free_pairs:
-            free[i, j] = True
-            free[j, i] = True
-        if np.abs(np.where(free, 0.0, q - self.fixed_part)).max() > eps_lp:
-            return False
-        if np.abs(q[free]).max(initial=0.0) > 1.0 + eps_lp:
-            return False
-        return float(np.abs(q @ self.base_point).max()) <= eps_lp
-
-
-def second_order_face(u, ustar, eps_zero: float = EPS_ZERO) -> SecondOrderFace:
-    u, ustar = _pair(u, ustar)
-    model = subdifferential_model(u, ustar, eps_zero)
-    return SecondOrderFace(
-        fixed_part=model.fixed_sign.astype(float),
-        free_pairs=list(model.free_pairs),
-        kernel_matrix=model.pair_matrix(),
-        kernel_rhs=-model.fixed_vector(),
-        base_point=u,
-    )
 
 
 def _require_stationary(u, ustar, eps_zero):
@@ -124,17 +68,17 @@ def second_subderivative(u, ustar, w, eps_zero: float = EPS_ZERO,
     if directional_derivative(u, ustar, w, eps_zero) > EPS_DIR:
         return math.inf
 
-    face = second_order_face(u, ustar, eps_zero)
-    constant = float(w @ face.fixed_part @ w)
-    p = len(face.free_pairs)
+    model = subdifferential_model(u, ustar, eps_zero)
+    constant = float(w @ model.fixed_sign.astype(float) @ w)
+    p = len(model.free_pairs)
     if p == 0:
         return constant
     coeffs = np.array([w[i] * w[j] if i == j else 2.0 * w[i] * w[j]
-                       for i, j in face.free_pairs])
-    lp = BoxEqLP(-np.ones(p), np.ones(p), face.kernel_matrix, face.kernel_rhs, coeffs)
+                       for i, j in model.free_pairs])
+    lp = BoxEqLP(-np.ones(p), np.ones(p), model.pair_matrix(), -model.fixed_vector(), coeffs)
     res = solve(lp, eps_lp)
     if res.status != OPTIMAL:
-        raise NumericalFailureError(f"face LP ended with status {res.status}")
+        raise NumericalFailureError(f"face LP ended with status {res.status}: {res.reason}")
     return constant + res.value
 
 
@@ -209,24 +153,18 @@ def _steepest_descent_lp(u, ustar, eps_zero, eps_lp):
     model = subdifferential_model(u, ustar, eps_zero)
     n = u.size
     p = len(model.free_pairs)
-    c0 = model.fixed_vector()
     m = model.pair_matrix()
 
-    # Rows: L_d(w) - p_d + q_d = 0, one per free pair. L_d(w) = column d of
-    # m(u) evaluated against w, i.e. m[:, d] dot w by the pair symmetry.
-    a = np.zeros((p, n + 2 * p))
-    bound = np.empty(p)
-    for d, (i, j) in enumerate(model.free_pairs):
-        a[d, :n] = m[:, d]
-        a[d, n + d] = -1.0
-        a[d, n + p + d] = 1.0
-        bound[d] = abs(u[i]) if i == j else abs(u[i]) + abs(u[j])
+    # Rows: L_d(w) - p_d + q_d = 0, one per free pair, with L_d(w) = m[:, d]
+    # dot w; |L_d(w)| <= sum |m[:, d]| on the unit box.
+    a = np.hstack([m.T, -np.eye(p), np.eye(p)])
+    bound = np.abs(m).sum(axis=0)
     lower = np.concatenate([-np.ones(n), np.zeros(2 * p)])
     upper = np.concatenate([np.ones(n), bound, bound])
-    obj = np.concatenate([-c0, -np.ones(2 * p)])
+    obj = np.concatenate([-model.fixed_vector(), -np.ones(2 * p)])
     res = solve(BoxEqLP(lower, upper, a, np.zeros(p), obj), eps_lp)
     if res.status != OPTIMAL:
-        raise NumericalFailureError(f"descent LP ended with status {res.status}")
+        raise NumericalFailureError(f"descent LP ended with status {res.status}: {res.reason}")
     return -res.value, res.solution[:n]
 
 
@@ -265,12 +203,7 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
 
     d = descend_along(subgradient_select(u, ustar, MIDPOINT, eps_zero))
     if d is None:
-        model = subdifferential_model(u, ustar, eps_zero)
-        a = np.hstack([model.fixed_vector()[:, None], model.pair_matrix()])
-        lower = np.concatenate([[1.0], -np.ones(len(model.free_pairs))])
-        _, point = feasibility_min_infinity_norm(lower, np.ones(lower.size), a,
-                                                 eps_lp, return_point=True)
-        d = descend_along(a @ point)
+        d = descend_along(min_norm_element(subdifferential_model(u, ustar, eps_zero), eps_lp)[2])
     if d is None:
         value, w = _steepest_descent_lp(u, ustar, eps_zero, eps_lp)
         if value < -EPS_DIR:

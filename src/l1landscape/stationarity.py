@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_ZERO, _pair, as_vector, subdifferential_model
+from .core import EPS_ZERO, SubdifferentialModel, _pair, as_vector, subdifferential_model
 from .lpcore import EPS_LP, feasibility_min_infinity_norm
 
 GROUND_TRUTH_PLUS = "ground_truth_plus"
@@ -43,7 +43,7 @@ class StationarityVerdict:
 
 
 def _stationary_kind(u, ustar, eps_zero):
-    """Kind label for a point already known to be stationary."""
+    """Kind label for a stationary point; ustar = 0 makes u = 0 SPURIOUS."""
     if np.abs(ustar).max() <= eps_zero:
         return SPURIOUS
     if np.abs(u - ustar).max() <= eps_zero:
@@ -56,21 +56,11 @@ def _stationary_kind(u, ustar, eps_zero):
 def is_stationary_closed_form(u, ustar, eps_zero: float = EPS_ZERO) -> StationarityVerdict:
     """Certify stationarity from the closed-form description of the set."""
     u, ustar = _pair(u, ustar)
-    n = u.size
+    kind = _stationary_kind(u, ustar, eps_zero)
+    if kind != SPURIOUS:
+        return StationarityVerdict(True, kind, np.zeros((u.size, u.size)), 0.0)
 
-    if np.abs(ustar).max() <= eps_zero:
-        # Degenerate planted vector: f = 0.5 ||u u^T||_1 and u = 0 is the only
-        # stationary point (it is also the global minimum). The ground-truth
-        # labels are reserved for ustar != 0, so this reports SPURIOUS.
-        if np.abs(u).max() <= eps_zero:
-            return StationarityVerdict(True, SPURIOUS, np.zeros((n, n)), 0.0)
-        return StationarityVerdict(False, NOT_STATIONARY)
-
-    if np.abs(u - ustar).max() <= eps_zero:
-        return StationarityVerdict(True, GROUND_TRUTH_PLUS, np.zeros((n, n)), 0.0)
-    if np.abs(u + ustar).max() <= eps_zero:
-        return StationarityVerdict(True, GROUND_TRUTH_MINUS, np.zeros((n, n)), 0.0)
-
+    # With ustar = 0 s vanishes and the test reduces to ||u||_inf <= eps_zero.
     s = np.sign(ustar) * (np.abs(ustar) > eps_zero)
     box_ok = np.all(np.abs(u) <= np.abs(ustar) + eps_zero)
     forced_ok = np.all(np.abs(u[s == 0]) <= eps_zero)
@@ -83,29 +73,32 @@ def is_stationary_closed_form(u, ustar, eps_zero: float = EPS_ZERO) -> Stationar
     return StationarityVerdict(False, NOT_STATIONARY)
 
 
+def min_norm_element(model: SubdifferentialModel, eps_lp: float = EPS_LP):
+    """(value, free_values, element) for the least-infinity-norm S u.
+
+    The constant fixed_vector() enters through a column pinned to 1, so the
+    epigraph solver sees min ||A x||_inf over the free box; element is A x.
+    """
+    a = np.hstack([model.fixed_vector()[:, None], model.pair_matrix()])
+    lower = np.concatenate([[1.0], -np.ones(len(model.free_pairs))])
+    value, point = feasibility_min_infinity_norm(lower, np.ones(lower.size), a,
+                                                 eps_lp, return_point=True)
+    return value, point[1:], a @ point
+
+
 def is_stationary_lp(u, ustar, eps_zero: float = EPS_ZERO,
                      eps_lp: float = EPS_LP) -> StationarityVerdict:
     """Certify stationarity by minimizing ||Z u||_inf over the sign polytope.
 
-    The subdifferential is {S u : S in the sign boxes, symmetric}. Membership
-    of 0 is a box-constrained feasibility problem: fixed entries contribute a
-    constant vector, free pairs contribute linearly. The constant is folded in
-    through a column pinned to 1 so the epigraph solver sees min ||A x||_inf.
+    The subdifferential is {S u : S in the sign boxes, symmetric}, so 0 lies
+    in it exactly when its min-norm element vanishes.
     """
     u, ustar = _pair(u, ustar)
     model = subdifferential_model(u, ustar, eps_zero)
-    c0 = model.fixed_vector()
-    m = model.pair_matrix()
-    p = len(model.free_pairs)
-
-    a = np.hstack([c0[:, None], m])
-    lower = np.concatenate([[1.0], -np.ones(p)])
-    upper = np.ones(p + 1)
-    value, point = feasibility_min_infinity_norm(lower, upper, a, eps_lp, return_point=True)
-
+    value, free_values, _ = min_norm_element(model, eps_lp)
     if value > eps_lp:
         return StationarityVerdict(False, NOT_STATIONARY, None, value)
-    witness = model.assemble(np.clip(point[1:], -1.0, 1.0))
+    witness = model.assemble(np.clip(free_values, -1.0, 1.0))
     return StationarityVerdict(True, _stationary_kind(u, ustar, eps_zero), witness, value)
 
 
@@ -159,13 +152,18 @@ def distance_to_ground_truths(u, ustar) -> float:
     return float(min(np.linalg.norm(u - ustar), np.linalg.norm(u + ustar)))
 
 
+def _spurious_distance(u, ustar) -> float:
+    """Distance to the spurious set ({0} when ustar = 0) for arrays the
+    caller has validated; the subgradient runs call it on every iterate."""
+    if np.abs(ustar).max() == 0.0:
+        return float(np.linalg.norm(u))
+    return project_to_spurious_set(u, ustar)[1]
+
+
 def distance_to_stationary_set(u, ustar) -> float:
     """Distance to the full stationary set: polytope and the two ground truths."""
     u, ustar = _pair(u, ustar)
-    if np.abs(ustar).max() == 0.0:
-        return float(np.linalg.norm(u))
-    _, d_poly = project_to_spurious_set(u, ustar)
-    return min(d_poly, distance_to_ground_truths(u, ustar))
+    return min(_spurious_distance(u, ustar), distance_to_ground_truths(u, ustar))
 
 
 def expected_gaussian_separation(n: int) -> float:

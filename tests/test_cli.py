@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -217,3 +218,55 @@ def test_missing_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
+
+
+GRID_31 = " --xmin -2.5 --xmax 2.5 --ymin -2.5 --ymax 2.5 --nx 31 --ny 31"
+FALLBACK = ("-u -0.7278215444386658,0.344234196431766,-0.30043137049255364 "
+            "-g -0.7278215444386658,-1.2948348672230032,0.30043137049255364")
+GOLDEN = [  # (command line, exit code, sha256 of stdout)
+    ("certify -u -1,1 -g 1,1", 0,
+     "326574530334d4142fa6df6f025969a487b4594ba06e7d3a19219fc06f9bb1bb"),
+    ("certify -u 1,1 -g 1,1", 0,
+     "ef0c5fa7511cde46f4b6d8d57aec7c3eb3a8d0d70e17556af1cf633afeb3a1bc"),
+    ("certify -u 0.5,0.2 -g 1,1", 0,
+     "0ac9eda83327b230f38a0d9b72b6e405fbffae0b367c27c32cecf24c6631f255"),
+    ("certify -u 0,0 -g 1,1", 0,
+     "0bd303155e84d45003f289ffeb5b504a00d25f77440c1ba4c3e13876e13132ee"),
+    ("certify " + FALLBACK, 0,
+     "9954ea160d9176c256b0f61ba16c46c8fd3978d6c5178110dd4027666f28aa81"),
+    ("certify -u 0,0 -g 0,0", 0,
+     "aec0bae1d6ec75ca675369283c44c2ffb602d387966dc6eef3563e4e28c0f098"),
+    ("certify -u 0.3,-0.2 -g 0,0", 0,
+     "d2f4e2c9e5be95edfd19ad5fc3a3a0e67afc4e2cc6ccc61cde9a70f7c1ffd5d7"),
+    ("certify -u 2e-6,0 -g 1e-6,1e-6", 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("landscape -g 1,1" + GRID_31, 0,
+     "b435ce52190d18f89e6633cc829a86ff75d2c5ef9ceea6c432324eb0d202f839"),
+    ("landscape -g 2,0.5" + GRID_31, 0,
+     "6129889f4997d6a894d25e941aca84fa9d98ac5b9839dfd67e7203d01296eeba"),
+    ("flow -g 1,1" + GRID_31, 0,
+     "880503ea89bcfc6af7c4363151859fc8c90ad60517f42c9e72e6028078e78323"),
+    ("flow -g 2,0.5" + GRID_31, 0,
+     "e74643bb92b2305327398acef310aceb6d383d8e17f704100a6d2bc7d80b27cc"),
+    ("descend -g 1,1 -s 3 --max-iters 300", 0,
+     "897c5a0bd3d9ec2e41d06c3ba75147218b7736adb65f8fd04930bf5aa20c300b"),
+    ("descend -g 2,0.5,-1 -s 5 --max-iters 300 --stop-tol 0", 0,
+     "22886cf1aaad73ac84b1a135e26a09820d4d9939cdeec988a0415560e2bdf0a5"),
+    ("conjecture -g 1,1 --trials 20 --max-iters 500 -s 0", 0,
+     "041ac2b4892319deda9b0d53d45b989c3c1750ee822b4a34852ed5805297de98"),
+    ("growth-check -g 1,1 --samples 200 -s 0", 0,
+     "d91cc483e7cef626ceb84c77735b3fe1c3ad1d19ebd989f13d08708e6711b225"),
+]
+
+
+@pytest.mark.parametrize("line,code,digest", GOLDEN, ids=[g[0].partition(" --")[0] for g in GOLDEN])
+def test_golden_output(capsys, line, code, digest):
+    """stdout and exit code match outputs recorded with numpy 2.4.6, byte for byte.
+
+    certify at u = (2e-6, 0), ustar = (1e-6, 1e-6) pins a known defect as it
+    stands: the absolute zero tolerance makes the closed form say not_stationary
+    and the LP say spurious, no descent direction is found, and it exits 2.
+    """
+    got, out, _ = run_cli(capsys, *line.split())
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from l1landscape import lpcore
 from l1landscape.lpcore import (
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
+    ROWS_UNMET,
     BoxEqLP,
+    NumericalFailureError,
     feasibility_min_infinity_norm,
     solve,
 )
@@ -49,6 +53,7 @@ def brute_force_value(lp):
 def test_box_only_maximum():
     res = solve(BoxEqLP([-1.0], [1.0], np.zeros((0, 1)), [], [1.0]))
     assert res.status == OPTIMAL
+    assert res.reason is None
     assert res.value == 1.0
     np.testing.assert_array_equal(res.solution, [1.0])
 
@@ -69,7 +74,20 @@ def test_equality_constrained_maximum():
 def test_infeasible_row_is_detected():
     res = solve(BoxEqLP([0.0], [1.0], [[1.0]], [2.0], [1.0]))
     assert res.status == INFEASIBLE
+    assert res.reason == ROWS_UNMET
     assert res.residual_norm >= 1.0 - 1e-9
+
+
+def test_failure_reason_names_a_singular_basis(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lpcore.np.linalg, "solve", singular)
+    res = solve(BoxEqLP([-1.0, -1.0], [1.0, 1.0], [[1.0, 1.0]], [0.5], [1.0, 0.0]))
+    assert res.status == NUMERICAL_FAILURE
+    assert res.reason == "singular basis in phase 1"
+    with pytest.raises(NumericalFailureError, match="singular basis"):
+        feasibility_min_infinity_norm([2.0, -1.0], [3.0, 1.0], [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_min_infinity_norm_examples():

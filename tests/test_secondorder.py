@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l1landscape.firstorder import NotStationaryError, critical_cone, directional_derivative
+from l1landscape.core import MIDPOINT, subdifferential_model, subgradient_select
+from l1landscape.firstorder import EPS_DIR, NotStationaryError, critical_cone, directional_derivative
 from l1landscape.secondorder import (
     GLOBAL_MIN,
     NOT_STATIONARY,
     SPURIOUS_STATIONARY,
     classify_point,
     escape_curvature,
-    second_order_face,
     second_subderivative,
     second_subderivative_numeric,
 )
 from l1landscape.stationarity import (
     is_stationary_closed_form,
     is_stationary_lp,
+    min_norm_element,
     project_to_spurious_set,
 )
 
@@ -29,17 +30,11 @@ def random_spurious(rng, n):
     return u, ustar
 
 
-def solve_face_member(face):
-    """A feasible matrix in the face, via the kernel feasibility program."""
-    from l1landscape.lpcore import feasibility_min_infinity_norm
-
-    m = face.kernel_matrix
-    cols = np.hstack([-face.kernel_rhs.reshape(-1, 1), m])
-    lower = [1.0] + [-1.0] * m.shape[1]
-    upper = [1.0] + [1.0] * m.shape[1]
-    value, point = feasibility_min_infinity_norm(lower, upper, cols, return_point=True)
+def solve_face_member(model):
+    """A feasible matrix in the face, from the min-norm witness program."""
+    value, free_values, _ = min_norm_element(model)
     assert value <= 1e-9
-    return face.member(np.clip(point[1:], -1.0, 1.0))
+    return model.assemble(np.clip(free_values, -1.0, 1.0))
 
 
 def test_second_subderivative_examples():
@@ -81,7 +76,7 @@ def test_escape_curvature_rejects_ground_truth():
 
 
 def test_face_is_singleton_at_full_support_spurious_point():
-    face = second_order_face([-1.0, 1.0], [1.0, 1.0])
+    face = subdifferential_model([-1.0, 1.0], [1.0, 1.0])
     q = solve_face_member(face)
     np.testing.assert_allclose(q, -np.ones((2, 2)), atol=1e-9)
     assert face.contains(q)
@@ -93,7 +88,7 @@ def test_face_members_satisfy_defining_constraints():
     for _ in range(50):
         n = int(rng.integers(2, 6))
         u, ustar = random_spurious(rng, n)
-        face = second_order_face(u, ustar)
+        face = subdifferential_model(u, ustar)
         q = solve_face_member(face)
         np.testing.assert_allclose(q, q.T, atol=1e-12)
         assert np.abs(q @ u).max() <= 1e-8
@@ -188,6 +183,22 @@ def test_classify_point_examples():
     assert res.kind == NOT_STATIONARY
     d = res.descent_direction
     assert directional_derivative([0.5, 0.2], ustar, d) < 0.0
+
+
+def test_classify_point_min_norm_fallback():
+    """At this box-face point -midpoint does not descend; the min-norm element
+    does, so it decides the direction before the steepest-descent LP."""
+    u = np.array([-0.7278215444386658, 0.344234196431766, -0.30043137049255364])
+    ustar = np.array([-0.7278215444386658, -1.2948348672230032, 0.30043137049255364])
+    g = subgradient_select(u, ustar, MIDPOINT)
+    assert directional_derivative(u, ustar, -g / np.linalg.norm(g)) >= -EPS_DIR
+
+    _, _, element = min_norm_element(subdifferential_model(u, ustar))
+    res = classify_point(u, ustar)
+    assert res.kind == NOT_STATIONARY
+    np.testing.assert_array_equal(res.descent_direction,
+                                  -element / float(np.linalg.norm(element)))
+    assert directional_derivative(u, ustar, res.descent_direction) < -EPS_DIR
 
 
 def test_classify_point_zero_ground_truth():

@@ -177,6 +177,10 @@ def test_distance_helpers():
     assert distance_to_stationary_set([-1.0, 1.0], ustar) == 0.0
     d = distance_to_stationary_set([2.0, 0.0], ustar)
     assert d == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    # ustar = 0: the stationary set is {0}
+    assert distance_to_stationary_set([3.0, -4.0], [0.0, 0.0]) == 5.0
+    # ustar below EPS_ZERO but nonzero: the polytope shrinks to a tiny box
+    assert distance_to_stationary_set([3.0, -4.0], [1e-10, -1e-10]) == pytest.approx(5.0, abs=1e-9)
 
 
 def test_expected_gaussian_separation_values():
