@@ -10,8 +10,9 @@ for a planted vector ustar. Its subdifferential has the explicit form
 
 where Sign acts entrywise and maps 0 to the interval [-1, 1]. This module
 provides the objective, the sign pattern of the residual matrix (with the
-per-coordinate index sets that drive the stationarity classification), a
-canonical subgradient selection, and a secant-slope helper used to validate
+per-coordinate index sets that drive the stationarity classification), the
+midpoint subgradient kernel shared by single and batched runs, a canonical
+subgradient selection, and a secant-slope helper used to validate
 directional derivatives numerically.
 """
 
@@ -190,6 +191,22 @@ def subdifferential_model(u, ustar, eps_zero: float = EPS_ZERO) -> Subdifferenti
     return SubdifferentialModel(pattern.entry_sign, free_pairs, u)
 
 
+def midpoint_subgradient(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
+    """Sign(u u^T - ustar ustar^T) u with free entries set to 0, row by row.
+
+    u is one point (n,) or a stack (trials, n); ustar is (n,). Residual entries
+    with |r_ij| <= eps_zero count as free. The sign matrices are built in place
+    in one (trials, n, n) array, and the product is a matmul, so a stack gives
+    each row the bits of the single-point call. The caller validates u.
+    """
+    s = u[..., :, None] * u[..., None, :]
+    s -= np.outer(ustar, ustar)
+    zero = np.abs(s) <= eps_zero
+    np.sign(s, out=s)
+    s[zero] = 0.0
+    return (s @ u[..., None])[..., 0]
+
+
 def subgradient_select(u, ustar, rule=MIDPOINT, eps_zero: float = EPS_ZERO) -> np.ndarray:
     """One element of df(u).
 
@@ -199,12 +216,13 @@ def subgradient_select(u, ustar, rule=MIDPOINT, eps_zero: float = EPS_ZERO) -> n
     before S u is returned.
     """
     u, ustar = _pair(u, ustar)
-    pattern = residual_pattern(u, ustar, eps_zero)
-    sigma = pattern.entry_sign.astype(float)
+    if eps_zero <= 0:
+        raise ValueError("eps_zero must be positive")
     if isinstance(rule, str):
         if rule != MIDPOINT:
             raise ValueError(f"unknown selection rule {rule!r}")
-        return sigma @ u
+        return midpoint_subgradient(u, ustar, eps_zero)
+    sigma = residual_pattern(u, ustar, eps_zero).entry_sign.astype(float)
     s = np.asarray(rule, dtype=float)
     if s.shape != sigma.shape:
         raise ValueError(f"custom selection has shape {s.shape}, expected {sigma.shape}")

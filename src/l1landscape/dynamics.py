@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_ZERO, MIDPOINT, _pair, as_vector, objective, subgradient_select
+from .core import MIDPOINT, _pair, as_vector, midpoint_subgradient, objective, subgradient_select
 from .stationarity import _spurious_distance, distance_to_ground_truths
 
 INV_K = "inv_k"
@@ -111,27 +111,29 @@ def run_subgradient(u0, ustar, schedule: StepSchedule,
         raise ValueError("max_iters must be at least 1")
     rows = []
 
-    def record(k, u, step):
-        rows.append((k, u.copy(), objective(u, ustar),
-                     distance_to_ground_truths(u, ustar),
+    def record(k, u, dist_gt, step):
+        rows.append((k, u.copy(), objective(u, ustar), dist_gt,
                      _spurious_distance(u, ustar), step))
 
     for k in range(1, max_iters + 1):
-        if distance_to_ground_truths(u, ustar) <= stop_tol:
-            record(k - 1, u, 0.0)
+        dist_gt = distance_to_ground_truths(u, ustar)
+        if dist_gt <= stop_tol:
+            record(k - 1, u, dist_gt, 0.0)
             break
         if callable(selection):
             g = as_vector(selection(u, k))
+        elif isinstance(selection, str) and selection == MIDPOINT:
+            g = midpoint_subgradient(u, ustar)
         else:
             g = subgradient_select(u, ustar, selection)
         if np.abs(g).max() == 0.0:
-            record(k - 1, u, 0.0)
+            record(k - 1, u, dist_gt, 0.0)
             break
         alpha = schedule.step(k)
-        record(k - 1, u, alpha)
+        record(k - 1, u, dist_gt, alpha)
         u = u - alpha * g
     else:
-        record(max_iters, u, 0.0)
+        record(max_iters, u, distance_to_ground_truths(u, ustar), 0.0)
 
     its, pts, vals, dgt, dsp, steps = zip(*rows)
     return Trajectory(np.array(its), np.array(pts), np.array(vals),
@@ -199,18 +201,6 @@ class ConjectureReport:
         }
 
 
-def _midpoint_batch_run(u0s, ustar, schedule, max_iters, eps_zero=EPS_ZERO):
-    """All trials advanced in lockstep under the midpoint rule."""
-    u = u0s.copy()
-    outer = np.outer(ustar, ustar)
-    for k in range(1, max_iters + 1):
-        r = u[:, :, None] * u[:, None, :] - outer
-        s = np.where(np.abs(r) <= eps_zero, 0.0, np.sign(r))
-        g = np.einsum("tij,tj->ti", s, u)
-        u -= schedule.step(k) * g
-    return u
-
-
 def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
                      trials: int = 200, max_iters: int = DEFAULT_MAX_ITERS,
                      tau_succ: float = DEFAULT_TAU_SUCC,
@@ -232,19 +222,20 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
         schedule = StepSchedule(INV_SQRT_K, 0.1)
     n = ustar.size
 
-    u0s = np.empty((trials, n))
+    finals = np.empty((trials, n))
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        u0s[t] = rng.standard_normal(n) if init == "gaussian" else as_vector(init(rng))
+        finals[t] = rng.standard_normal(n) if init == "gaussian" else as_vector(init(rng))
 
     if isinstance(selection, str) and selection == MIDPOINT:
-        finals = _midpoint_batch_run(u0s, ustar, schedule, max_iters)
+        # All trials in lockstep; each row gets run_subgradient's bits.
+        for k in range(1, max_iters + 1):
+            g = midpoint_subgradient(finals, ustar)
+            finals -= schedule.step(k) * g
     else:
-        finals = np.empty_like(u0s)
         for t in range(trials):
-            traj = run_subgradient(u0s[t], ustar, schedule, max_iters,
-                                   stop_tol=0.0, selection=selection)
-            finals[t] = traj.final_point
+            finals[t] = run_subgradient(finals[t], ustar, schedule, max_iters,
+                                        stop_tol=0.0, selection=selection).final_point
 
     dist_gt = np.array([distance_to_ground_truths(u, ustar) for u in finals])
     dist_sp = np.array([_spurious_distance(u, ustar) for u in finals])
@@ -307,9 +298,9 @@ def flow_field(ustar, grid: GridSpec = GridSpec()):
     if ustar.size != 2:
         raise ValueError("flow field is two-dimensional")
     points = grid.points()
-    directions = np.empty_like(points)
-    for row, u in enumerate(points):
-        g = subgradient_select(u, ustar, MIDPOINT)
-        norm = float(np.linalg.norm(g))
-        directions[row] = 0.0 if norm == 0.0 else -g / norm
+    g = midpoint_subgradient(points, ustar)
+    norms = np.linalg.norm(g, axis=1)
+    moving = norms != 0.0
+    directions = np.zeros_like(points)
+    directions[moving] = -g[moving] / norms[moving, None]
     return points, directions

@@ -209,14 +209,13 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm)
 
 
-def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_LP,
-                                  return_point: bool = False):
-    """min over the box of ||A x||_inf, by an epigraph reformulation.
+def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_LP):
+    """(value, x): min over the box of ||A x||_inf and a minimizing x, by an
+    epigraph reformulation.
 
     Introduces t >= 0 with rows (A x)_i - t + p_i = 0 and (A x)_i + t - q_i = 0
     for slack p, q in [0, 2 T], where T bounds |A x| over the box, and
-    maximizes -t. A value <= eps_lp certifies that 0 lies in A . box. With
-    return_point=True the minimizing x is returned alongside the value.
+    maximizes -t. A value <= eps_lp certifies that 0 lies in A . box.
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -232,11 +231,11 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     start_low = np.abs(lower) <= np.abs(upper)
     x0 = np.where(start_low, lower, upper).astype(float)
     if m == 0:
-        return (0.0, x0) if return_point else 0.0
+        return 0.0, x0
     row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)
     t_cap = float(row_bound.max())
     if t_cap == 0.0:
-        return (0.0, x0) if return_point else 0.0
+        return 0.0, x0
 
     # Variable layout: [x (k), t (1), p (m), q (m)].
     total = k + 1 + 2 * m
@@ -257,7 +256,4 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
         # The reformulation is feasible for every box, so this is numerics.
         raise NumericalFailureError(
             f"epigraph solve ended with status {res.status}: {res.reason}")
-    value = max(-res.value, 0.0) + 0.0  # normalize -0.0
-    if return_point:
-        return value, res.solution[:k]
-    return value
+    return max(-res.value, 0.0) + 0.0, res.solution[:k]  # + 0.0 normalizes -0.0

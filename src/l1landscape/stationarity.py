@@ -29,10 +29,6 @@ GROUND_TRUTH_MINUS = "ground_truth_minus"
 SPURIOUS = "spurious"
 NOT_STATIONARY = "not_stationary"
 
-# Bisection control for the projection multiplier.
-_BISECTION_TOL = 1e-12
-_BISECTION_MAX_ITERS = 200
-
 
 @dataclass
 class StationarityVerdict:
@@ -81,8 +77,7 @@ def min_norm_element(model: SubdifferentialModel, eps_lp: float = EPS_LP):
     """
     a = np.hstack([model.fixed_vector()[:, None], model.pair_matrix()])
     lower = np.concatenate([[1.0], -np.ones(len(model.free_pairs))])
-    value, point = feasibility_min_infinity_norm(lower, np.ones(lower.size), a,
-                                                 eps_lp, return_point=True)
+    value, point = feasibility_min_infinity_norm(lower, np.ones(lower.size), a, eps_lp)
     return value, point[1:], a @ point
 
 
@@ -102,48 +97,39 @@ def is_stationary_lp(u, ustar, eps_zero: float = EPS_ZERO,
     return StationarityVerdict(True, _stationary_kind(u, ustar, eps_zero), witness, value)
 
 
-def project_to_spurious_set(y, ustar, eps: float = _BISECTION_TOL):
+def project_to_spurious_set(y, ustar):
     """Euclidean projection onto the spurious polytope, with its distance.
 
     The projection clips y - lam * Sign(ustar) to the box [-|ustar|, |ustar|]
-    coordinatewise; the map from the multiplier lam to the hyperplane value
-    sum_i Sign(ustar_i) u_i(lam) is continuous and nonincreasing, so lam is
-    found by bisection. A final exact solve on the unclipped coordinates
-    removes the bisection residue when possible.
+    coordinatewise. With z = Sign(ustar) * y, the hyperplane value
+    sum_i clip(z_i - lam, -|ustar_i|, |ustar_i|) is nonincreasing and piecewise
+    linear in lam, with breakpoints z_i -+ |ustar_i| over ustar_i != 0. A
+    binary search over the sorted breakpoints brackets its root between two
+    neighbours, and lam solves the linear piece on the coordinates left
+    unclipped there (Kiwiel, Math. Programming 112, 2008).
     """
     y, ustar = _pair(y, ustar)
     if np.abs(ustar).max() == 0.0:
         raise ValueError("ustar must be nonzero")
     s = np.sign(ustar)
     cap = np.abs(ustar)
-
-    def clipped(lam):
-        return np.clip(y - lam * s, -cap, cap)
-
-    def plane(lam):
-        return float(s @ clipped(lam))
-
-    width = float(np.abs(y).max() + cap.max() + 1.0)
-    lo, hi = -width, width
-    for _ in range(_BISECTION_MAX_ITERS):
-        if hi - lo <= eps:
-            break
-        mid = 0.5 * (lo + hi)
-        if plane(mid) > 0.0:
+    on = s != 0
+    z, c = s[on] * y[on], cap[on]
+    breaks = np.sort(np.concatenate([z - c, z + c]))
+    lo, hi = 0, breaks.size - 1  # the plane value is > 0 at breaks[0], < 0 at breaks[-1]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.clip(z - breaks[mid], -c, c).sum() > 0.0:
             lo = mid
         else:
             hi = mid
-    lam = 0.5 * (lo + hi)
-    u = clipped(lam)
-
-    # Exact multiplier for the active pattern found by the bisection.
-    interior = (s != 0) & (np.abs(y - lam * s) < cap)
-    if interior.any():
-        rest = float(s[~interior] @ u[~interior])
-        lam_exact = (float(s[interior] @ y[interior]) + rest) / int(interior.sum())
-        u_exact = clipped(lam_exact)
-        if abs(plane(lam_exact)) <= abs(plane(lam)):
-            u = u_exact
+    lam = 0.5 * (breaks[lo] + breaks[hi])
+    u = np.clip(y - lam * s, -cap, cap)
+    free = on & (np.abs(y - lam * s) < cap)
+    # free is empty only where the root is a flat piece, which u already meets.
+    if free.any():
+        lam = (float(s[free] @ y[free]) + float(s[~free] @ u[~free])) / int(free.sum())
+        u = np.clip(y - lam * s, -cap, cap)
     return u, float(np.linalg.norm(y - u))
 
 
@@ -176,10 +162,10 @@ def gaussian_separation(n: int, trials: int, seed: int = 0):
 
     This is the exact distance from a Gaussian ground truth to the hyperplane
     {u : Sign(ustar)^T u = 0} containing the spurious polytope; its mean is
-    sqrt(2 n / pi), so the separation grows with dimension. Trials draw from
-    independent streams seeded with seed XOR trial index and are merged in
-    trial order, which keeps the estimate reproducible under parallel
-    evaluation.
+    sqrt(2 n / pi), so the separation grows with dimension. Trial t draws
+    from the stream seeded with [seed, t], so distinct seeds give independent
+    sets of streams; trials are merged in trial order, which keeps the
+    estimate reproducible under parallel evaluation.
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be at least 1")
@@ -188,7 +174,7 @@ def gaussian_separation(n: int, trials: int, seed: int = 0):
     root = math.sqrt(n)
     values = np.empty(trials)
     for t in range(trials):
-        rng = np.random.default_rng(seed ^ t)
+        rng = np.random.default_rng([seed, t])
         values[t] = np.abs(rng.standard_normal(n)).sum() / root
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

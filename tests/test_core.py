@@ -7,7 +7,9 @@ from l1landscape.core import (
     DISAGREE,
     ZERO,
     as_vector,
+    MIDPOINT,
     finite_difference_slope,
+    midpoint_subgradient,
     objective,
     residual,
     residual_pattern,
@@ -63,6 +65,28 @@ def test_subgradient_select_midpoint_examples():
     np.testing.assert_array_equal(subgradient_select([1.0, 1.0], [1.0, 1.0]), [0.0, 0.0])
     np.testing.assert_array_equal(subgradient_select([-1.0, 1.0], [1.0, 1.0]), [-1.0, 1.0])
     np.testing.assert_array_equal(subgradient_select([2.0, 0.0], [1.0, 0.0]), [2.0, 0.0])
+
+
+def test_midpoint_subgradient_stack_matches_single_points():
+    """A (trials, n) stack gives each row the bits of the single-point call and
+    of Sign(residual) u built from residual_pattern."""
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 10):
+        ustar = rng.standard_normal(n)
+        ustar[0] = 0.0
+        u = rng.standard_normal((12, n))
+        u[1] = ustar                                   # residual exactly zero
+        u[2] = 0.0
+        u[3:6, 1:] = ustar[1:] * rng.choice([-1.0, 1.0], (3, n - 1))  # |u_i| = |ustar_i|
+        u[6, 0] = 0.0
+        u[7] = ustar + 1e-12                           # entries inside the zero band
+        stack = midpoint_subgradient(u, ustar)
+        assert stack.shape == (12, n)
+        assert not stack[1].any()
+        for row, g in zip(u, stack):
+            sigma = residual_pattern(row, ustar).entry_sign.astype(float)
+            np.testing.assert_array_equal(g, sigma @ row)
+            np.testing.assert_array_equal(g, subgradient_select(row, ustar, MIDPOINT))
 
 
 def test_subgradient_select_custom_matrix_validation():
@@ -165,7 +189,7 @@ def test_midpoint_selection_lies_in_subdifferential(n, seed):
     cols = [np.asarray(model.fixed_vector() - g).reshape(-1, 1), m]
     lower = [1.0] + [-1.0] * m.shape[1]
     upper = [1.0] + [1.0] * m.shape[1]
-    value = feasibility_min_infinity_norm(lower, upper, np.hstack(cols))
+    value, _ = feasibility_min_infinity_norm(lower, upper, np.hstack(cols))
     assert value <= 1e-9
 
 

@@ -31,7 +31,7 @@ def in_subdifferential(g, u, ustar, tol=1e-8):
     cols = np.hstack([np.asarray(model.fixed_vector() - g).reshape(-1, 1), m])
     lower = [1.0] + [-1.0] * m.shape[1]
     upper = [1.0] + [1.0] * m.shape[1]
-    return feasibility_min_infinity_norm(lower, upper, cols) <= tol
+    return feasibility_min_infinity_norm(lower, upper, cols)[0] <= tol
 
 
 def test_schedule_values_and_flags():
@@ -161,14 +161,21 @@ def test_conjecture_probe_single_trial_at_ground_truth():
 
 
 def test_batch_and_per_trial_paths_agree():
-    ustar = np.array([1.0, 1.0])
-    batch = conjecture_probe(ustar, trials=20, max_iters=300, seed=3)
-    explicit = conjecture_probe(
-        ustar, trials=20, max_iters=300, seed=3,
-        selection=lambda u, k: subgradient_select(u, ustar),
-    )
-    assert batch.labels == explicit.labels
-    np.testing.assert_allclose(batch.final_points, explicit.final_points, atol=1e-9)
+    """The lockstep probe, the per-trial probe and run_subgradient from the same
+    starts end on the same bits."""
+    for ustar in ([1.0, 1.0], [1.0, -0.5, 2.0], np.linspace(-1.0, 1.5, 10)):
+        ustar = np.asarray(ustar)
+        batch = conjecture_probe(ustar, trials=20, max_iters=300, seed=3)
+        explicit = conjecture_probe(
+            ustar, trials=20, max_iters=300, seed=3,
+            selection=lambda u, k: subgradient_select(u, ustar),
+        )
+        assert batch.labels == explicit.labels
+        np.testing.assert_array_equal(batch.final_points, explicit.final_points)
+        for t in range(3):
+            u0 = np.random.default_rng([3, t]).standard_normal(ustar.size)
+            traj = run_subgradient(u0, ustar, batch.schedule, 300, stop_tol=0.0)
+            np.testing.assert_array_equal(traj.final_point, batch.final_points[t])
 
 
 def test_adversarial_selection_traps_on_the_polytope():
@@ -223,6 +230,11 @@ def test_flow_field_directions_are_unit_or_zero():
     points, dirs = flow_field([1.0, -0.5], GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9))
     norms = np.linalg.norm(dirs, axis=1)
     assert np.all((np.abs(norms - 1.0) <= 1e-12) | (norms == 0.0))
+    # the whole-grid field has the bits of a point-by-point evaluation
+    for u, d in zip(points, dirs):
+        g = subgradient_select(u, [1.0, -0.5])
+        norm = float(np.linalg.norm(g))
+        np.testing.assert_array_equal(d, 0.0 if norm == 0.0 else -g / norm)
 
 
 def test_grid_spec_validation():

@@ -91,14 +91,14 @@ def test_failure_reason_names_a_singular_basis(monkeypatch):
 
 
 def test_min_infinity_norm_examples():
-    assert feasibility_min_infinity_norm([-1.0], [1.0], [[1.0]]) == 0.0
-    assert abs(feasibility_min_infinity_norm([2.0], [3.0], [[1.0]]) - 2.0) <= 1e-9
-    assert feasibility_min_infinity_norm([-1.0, 1.0], [1.0, 1.0], [[1.0, 1.0]]) <= 1e-12
+    assert feasibility_min_infinity_norm([-1.0], [1.0], [[1.0]])[0] == 0.0
+    assert abs(feasibility_min_infinity_norm([2.0], [3.0], [[1.0]])[0] - 2.0) <= 1e-9
+    assert feasibility_min_infinity_norm([-1.0, 1.0], [1.0, 1.0], [[1.0, 1.0]])[0] <= 1e-12
 
 
 def test_min_infinity_norm_returns_attaining_point():
     value, point = feasibility_min_infinity_norm(
-        [2.0, -1.0], [3.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], return_point=True
+        [2.0, -1.0], [3.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]
     )
     assert abs(value - 2.0) <= 1e-9
     assert np.abs(point).max() <= value + 1e-9
