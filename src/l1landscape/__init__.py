@@ -2,8 +2,6 @@
 
 from .core import (
     EPS_ZERO,
-    MIDPOINT,
-    ResidualPattern,
     SubdifferentialModel,
     finite_difference_slope,
     objective,

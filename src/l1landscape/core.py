@@ -9,11 +9,10 @@ for a planted vector ustar. Its subdifferential has the explicit form
     df(u) = (Sign(u u^T - ustar ustar^T) ∩ Sym(n)) . u,
 
 where Sign acts entrywise and maps 0 to the interval [-1, 1]. This module
-provides the objective, the sign pattern of the residual matrix (with the
-per-coordinate index sets that drive the stationarity classification), the
-midpoint subgradient kernel shared by single and batched runs, a canonical
-subgradient selection, and a secant-slope helper used to validate
-directional derivatives numerically.
+provides the objective, the zero-band sign of the residual matrix (the one
+kernel the subdifferential model and the midpoint subgradient are read
+from), the midpoint subgradient shared by single and batched runs, and a
+secant-slope helper used to validate directional derivatives numerically.
 """
 
 from __future__ import annotations
@@ -26,13 +25,6 @@ from .lpcore import EPS_LP
 
 # Residual entries with |r_ij| <= EPS_ZERO are classified as exact zeros.
 EPS_ZERO = 1e-9
-
-# Per-coordinate sign-agreement tags.
-AGREE = "agree"        # sign(u_i) * sign(ustar_i) > 0
-DISAGREE = "disagree"  # sign(u_i) * sign(ustar_i) < 0
-ZERO = "zero"          # u_i = 0 or ustar_i = 0 (within tolerance)
-
-MIDPOINT = "midpoint"
 
 
 def as_vector(u) -> np.ndarray:
@@ -79,44 +71,22 @@ def objective(u, ustar) -> float:
     return 0.5 * float(np.abs(residual(u, ustar)).sum())
 
 
-@dataclass
-class ResidualPattern:
-    """Sign structure of the residual matrix at a base point.
+def residual_pattern(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
+    """Sign(u u^T - ustar ustar^T) as floats in {-1, 0, +1}.
 
-    entry_sign holds -1/0/+1 per entry (0 meaning |r_ij| <= eps_zero). The
-    index sets split coordinates by |u_i| versus |ustar_i| and the tags record
-    whether the two coordinates carry the same sign.
+    Residual entries with |r_ij| <= eps_zero count as 0. u is one point (n,)
+    or a stack (trials, n); ustar is (n,). The signs are built in place in
+    one (n, n) or (trials, n, n) array. The caller validates u and ustar.
     """
-
-    entry_sign: np.ndarray          # (n, n) int8 in {-1, 0, +1}
-    j_greater: tuple[int, ...]      # |u_i| >  |ustar_i|
-    j_equal: tuple[int, ...]        # |u_i| == |ustar_i| within eps_zero
-    j_less: tuple[int, ...]         # |u_i| <  |ustar_i|
-    tags: tuple[str, ...]           # AGREE / DISAGREE / ZERO per coordinate
-
-    @property
-    def dim(self) -> int:
-        return self.entry_sign.shape[0]
-
-
-def residual_pattern(u, ustar, eps_zero: float = EPS_ZERO) -> ResidualPattern:
-    """Classify residual entries and coordinates at tolerance eps_zero."""
-    u, ustar = _pair(u, ustar)
     if eps_zero <= 0:
         raise ValueError("eps_zero must be positive")
-    r = np.outer(u, u) - np.outer(ustar, ustar)
-    entry_sign = np.where(r > eps_zero, 1, np.where(r < -eps_zero, -1, 0)).astype(np.int8)
-
-    gap = np.abs(u) - np.abs(ustar)
-    j_greater = tuple(int(i) for i in np.flatnonzero(gap > eps_zero))
-    j_less = tuple(int(i) for i in np.flatnonzero(gap < -eps_zero))
-    j_equal = tuple(int(i) for i in np.flatnonzero(np.abs(gap) <= eps_zero))
-
-    tags = []
-    for ui, vi in zip(u, ustar):
-        s = sign_scalar(ui, eps_zero) * sign_scalar(vi, eps_zero)
-        tags.append(AGREE if s > 0 else DISAGREE if s < 0 else ZERO)
-    return ResidualPattern(entry_sign, j_greater, j_equal, j_less, tuple(tags))
+    u = np.asarray(u, dtype=float)
+    s = u[..., :, None] * u[..., None, :]
+    s -= np.outer(ustar, ustar)
+    zero = np.abs(s) <= eps_zero
+    np.sign(s, out=s)
+    s[zero] = 0.0
+    return s
 
 
 @dataclass
@@ -130,7 +100,7 @@ class SubdifferentialModel:
     pair_matrix() @ x = -fixed_vector(), assembled by assemble(x).
     """
 
-    fixed_sign: np.ndarray               # (n, n) int8, 0 on free entries
+    fixed_sign: np.ndarray               # (n, n) float in {-1, 0, +1}, 0 on free entries
     free_pairs: list[tuple[int, int]]    # unordered pairs (i <= j), residual zero
     base_point: np.ndarray               # u
 
@@ -140,7 +110,7 @@ class SubdifferentialModel:
 
     def fixed_vector(self) -> np.ndarray:
         """Contribution of the fixed entries to S u."""
-        return self.fixed_sign.astype(float) @ self.base_point
+        return self.fixed_sign @ self.base_point
 
     def pair_matrix(self) -> np.ndarray:
         """Matrix M with (S u)_i = fixed_vector_i + (M x)_i for free values x.
@@ -158,7 +128,7 @@ class SubdifferentialModel:
 
     def assemble(self, free_values) -> np.ndarray:
         """Full symmetric matrix S from values for the free pairs."""
-        s = self.fixed_sign.astype(float)
+        s = self.fixed_sign.copy()
         for (i, j), v in zip(self.free_pairs, np.asarray(free_values, dtype=float)):
             s[i, j] = v
             s[j, i] = v
@@ -177,63 +147,43 @@ class SubdifferentialModel:
             return False
         return float(np.abs(q @ self.base_point).max()) <= eps_lp
 
+    def support(self, w) -> float:
+        """df(u)(w) = max over the set of <S u, w>.
+
+        The fixed entries give the linear term <fixed_vector(), w>; free pair
+        d adds |(M^T w)_d| for M = pair_matrix() (|u_i w_i| on a diagonal
+        pair, |u_i w_j + u_j w_i| off it), each maximized over its own
+        [-1, 1] box.
+        """
+        return float(self.fixed_vector() @ w) + float(np.abs(self.pair_matrix().T @ w).sum())
+
 
 def subdifferential_model(u, ustar, eps_zero: float = EPS_ZERO) -> SubdifferentialModel:
     u, ustar = _pair(u, ustar)
-    pattern = residual_pattern(u, ustar, eps_zero)
+    sign = residual_pattern(u, ustar, eps_zero)
     n = u.size
-    free_pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(i, n)
-        if pattern.entry_sign[i, j] == 0
-    ]
-    return SubdifferentialModel(pattern.entry_sign, free_pairs, u)
+    free_pairs = [(i, j) for i in range(n) for j in range(i, n) if sign[i, j] == 0]
+    return SubdifferentialModel(sign, free_pairs, u)
 
 
 def midpoint_subgradient(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
     """Sign(u u^T - ustar ustar^T) u with free entries set to 0, row by row.
 
-    u is one point (n,) or a stack (trials, n); ustar is (n,). Residual entries
-    with |r_ij| <= eps_zero count as free. The sign matrices are built in place
-    in one (trials, n, n) array, and the product is a matmul, so a stack gives
-    each row the bits of the single-point call. The caller validates u.
+    u is one point (n,) or a stack (trials, n); ustar is (n,). The product is
+    a matmul, so a stack gives each row the bits of the single-point call.
+    The caller validates u.
     """
-    s = u[..., :, None] * u[..., None, :]
-    s -= np.outer(ustar, ustar)
-    zero = np.abs(s) <= eps_zero
-    np.sign(s, out=s)
-    s[zero] = 0.0
-    return (s @ u[..., None])[..., 0]
+    return (residual_pattern(u, ustar, eps_zero) @ u[..., None])[..., 0]
 
 
-def subgradient_select(u, ustar, rule=MIDPOINT, eps_zero: float = EPS_ZERO) -> np.ndarray:
-    """One element of df(u).
+def subgradient_select(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
+    """The midpoint element of df(u), for a validated pair u, ustar.
 
-    rule "midpoint" sets every free entry to 0, the center of its interval,
-    which makes the selection deterministic. Alternatively rule may be a full
-    symmetric matrix S; it is validated against the sign boxes of the residual
-    before S u is returned.
+    Every free entry is set to 0, the center of its interval, which makes
+    the selection deterministic.
     """
     u, ustar = _pair(u, ustar)
-    if eps_zero <= 0:
-        raise ValueError("eps_zero must be positive")
-    if isinstance(rule, str):
-        if rule != MIDPOINT:
-            raise ValueError(f"unknown selection rule {rule!r}")
-        return midpoint_subgradient(u, ustar, eps_zero)
-    sigma = residual_pattern(u, ustar, eps_zero).entry_sign.astype(float)
-    s = np.asarray(rule, dtype=float)
-    if s.shape != sigma.shape:
-        raise ValueError(f"custom selection has shape {s.shape}, expected {sigma.shape}")
-    if not np.allclose(s, s.T, atol=1e-12, rtol=0.0):
-        raise ValueError("custom selection must be symmetric")
-    fixed = sigma != 0
-    if np.any(np.abs(s[fixed] - sigma[fixed]) > 1e-12):
-        raise ValueError("custom selection changes a fixed sign entry")
-    if np.any(np.abs(s[~fixed]) > 1.0 + 1e-12):
-        raise ValueError("custom selection leaves the [-1, 1] box on a free entry")
-    return s @ u
+    return midpoint_subgradient(u, ustar, eps_zero)
 
 
 def finite_difference_slope(u, ustar, w, t: float) -> float:

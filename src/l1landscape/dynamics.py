@@ -5,7 +5,8 @@ and a pluggable subgradient selection. The Monte Carlo harness estimates how
 often random initialization reaches a ground truth, how often it lands on
 the spurious polytope, and leaves the rest undecided; whether spurious
 points trap the method depends on the selection rule, which is why the
-selection is a parameter and the report carries it.
+selection is a parameter: None for the midpoint element, or a callable
+(u, k) -> g.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MIDPOINT, _pair, as_vector, midpoint_subgradient, objective, subgradient_select
+from .core import _pair, as_vector, midpoint_subgradient, objective
 from .stationarity import _spurious_distance, distance_to_ground_truths
 
 INV_K = "inv_k"
@@ -97,16 +98,16 @@ class Trajectory:
 def run_subgradient(u0, ustar, schedule: StepSchedule,
                     max_iters: int = DEFAULT_MAX_ITERS,
                     stop_tol: float = DEFAULT_TAU_SUCC,
-                    selection=MIDPOINT) -> Trajectory:
+                    selection=None) -> Trajectory:
     """Subgradient iteration with full per-iterate diagnostics.
 
-    selection is the midpoint rule by default; a callable (u, k) -> g swaps
+    selection None takes the midpoint element; a callable (u, k) -> g swaps
     in any other choice (the iteration does not check such a g against the
     subdifferential, that is the caller's contract). Stops early when the
     distance to {+-ustar} drops to stop_tol or the selected subgradient
     vanishes; the final row records step 0.
     """
-    u, ustar = _pair(as_vector(u0).copy(), ustar)
+    u, ustar = _pair(u0, ustar)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     rows = []
@@ -120,12 +121,10 @@ def run_subgradient(u0, ustar, schedule: StepSchedule,
         if dist_gt <= stop_tol:
             record(k - 1, u, dist_gt, 0.0)
             break
-        if callable(selection):
-            g = as_vector(selection(u, k))
-        elif isinstance(selection, str) and selection == MIDPOINT:
+        if selection is None:
             g = midpoint_subgradient(u, ustar)
         else:
-            g = subgradient_select(u, ustar, selection)
+            g = as_vector(selection(u, k))
         if np.abs(g).max() == 0.0:
             record(k - 1, u, dist_gt, 0.0)
             break
@@ -205,14 +204,15 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
                      trials: int = 200, max_iters: int = DEFAULT_MAX_ITERS,
                      tau_succ: float = DEFAULT_TAU_SUCC,
                      tau_trap: float = DEFAULT_TAU_TRAP,
-                     seed: int = 0, selection=MIDPOINT) -> ConjectureReport:
+                     seed: int = 0, selection=None) -> ConjectureReport:
     """Monte Carlo convergence counts for the subgradient method.
 
     Each trial draws its start from init (standard Gaussian by default, or a
     callable rng -> vector) using an rng keyed by (seed, trial index), runs
     max_iters steps, and is labeled by its final state: success within
     tau_succ of a ground truth, trapped within tau_trap of the spurious
-    polytope, undecided otherwise. Aggregation is in trial order, so the
+    polytope, undecided otherwise. selection is as in run_subgradient; with
+    None all trials step in lockstep. Aggregation is in trial order, so the
     report is reproducible bit for bit.
     """
     ustar = as_vector(ustar)
@@ -227,7 +227,7 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
         rng = np.random.default_rng([seed, t])
         finals[t] = rng.standard_normal(n) if init == "gaussian" else as_vector(init(rng))
 
-    if isinstance(selection, str) and selection == MIDPOINT:
+    if selection is None:
         # All trials in lockstep; each row gets run_subgradient's bits.
         for k in range(1, max_iters + 1):
             g = midpoint_subgradient(finals, ustar)

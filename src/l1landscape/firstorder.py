@@ -77,19 +77,13 @@ class CriticalConeDescriptor:
 
 
 def directional_derivative(u, ustar, w, eps_zero: float = EPS_ZERO) -> float:
-    """df(u)(w) = max over the sign boxes of <sym(S) u, w>.
-
-    Fixed entries of the pattern give the linear term <sigma u, w>; free
-    pair d adds |(M^T w)_d| for the model's pair_matrix M (|u_i w_i| on a
-    diagonal pair, |u_i w_j + u_j w_i| off it), each maximized over its own
-    [-1, 1] box.
-    """
+    """df(u)(w) = max over the sign boxes of <sym(S) u, w>, the support
+    function SubdifferentialModel.support of the subdifferential."""
     u, ustar = _pair(u, ustar)
     w = as_vector(w)
     if w.size != u.size:
         raise ValueError("direction dimension mismatch")
-    model = subdifferential_model(u, ustar, eps_zero)
-    return float(model.fixed_vector() @ w) + float(np.abs(model.pair_matrix().T @ w).sum())
+    return subdifferential_model(u, ustar, eps_zero).support(w)
 
 
 def critical_cone(u, ustar, eps_zero: float = EPS_ZERO,

@@ -81,20 +81,19 @@ class LPResult:
 
 
 def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
-    """Run primal pivots in place; return (pivots_used, stop), where stop is
-    None at optimality, else PIVOT_BUDGET or SINGULAR_BASIS."""
-    m = len(basis)
-    n = len(c)
+    """Run primal pivots in place on at least one row; return (pivots_used,
+    stop), where stop is None at optimality, else PIVOT_BUDGET or
+    SINGULAR_BASIS."""
     pivots = 0
     while True:
         if pivots >= budget:
             return pivots, PIVOT_BUDGET
-        bmat = a[:, basis] if m else np.zeros((0, 0))
+        bmat = a[:, basis]
         try:
-            y = np.linalg.solve(bmat.T, c[basis]) if m else np.zeros(0)
+            y = np.linalg.solve(bmat.T, c[basis])
         except np.linalg.LinAlgError:
             return pivots, SINGULAR_BASIS
-        d = c - (a.T @ y) if m else c.copy()
+        d = c - (a.T @ y)
         eligible = (
             (((vstat == _AT_LOWER) & (d > _REDUCED_COST_TOL))
              | ((vstat == _AT_UPPER) & (d < -_REDUCED_COST_TOL)))
@@ -107,25 +106,21 @@ def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
         direction = 1.0 if vstat[enter] == _AT_LOWER else -1.0
 
         try:
-            col = np.linalg.solve(bmat, a[:, enter]) if m else np.zeros(0)
+            col = np.linalg.solve(bmat, a[:, enter])
         except np.linalg.LinAlgError:
             return pivots, SINGULAR_BASIS
         t_flip = hi[enter] - lo[enter]
-        if m:
-            g = direction * col
-            xb = x[basis]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_down = np.where(g > _RATIO_TOL, (xb - lo[basis]) / g, np.inf)
-                t_up = np.where(g < -_RATIO_TOL, (hi[basis] - xb) / (-g), np.inf)
-            t_rows = np.maximum(np.minimum(t_down, t_up), 0.0)
-            t_min_rows = float(t_rows.min()) if t_rows.size else np.inf
-        else:
-            t_min_rows = np.inf
+        g = direction * col
+        xb = x[basis]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_down = np.where(g > _RATIO_TOL, (xb - lo[basis]) / g, np.inf)
+            t_up = np.where(g < -_RATIO_TOL, (hi[basis] - xb) / (-g), np.inf)
+        t_rows = np.maximum(np.minimum(t_down, t_up), 0.0)
+        t_min_rows = float(t_rows.min())
 
         if t_flip <= t_min_rows:
             # The entering variable crosses to its other bound; basis unchanged.
-            if m:
-                x[basis] = xb - direction * t_flip * col
+            x[basis] = xb - direction * t_flip * col
             x[enter] = hi[enter] if vstat[enter] == _AT_LOWER else lo[enter]
             vstat[enter] = _AT_UPPER if vstat[enter] == _AT_LOWER else _AT_LOWER
         else:
@@ -155,7 +150,10 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     cannot); phase 2 then optimizes the real objective with the artificials
     pinned at zero. Pivots in both phases share one budget of
     10 * (k + m)^2, after which the result is NUMERICAL_FAILURE. Every
-    result that is not OPTIMAL says why in its reason.
+    result that is not OPTIMAL says why in its reason. Without equality rows
+    the maximum is closed form: each variable sits at the bound its cost
+    points to, and at its start where the cost is within the reduced-cost
+    tolerance of 0.
     """
     if eps_lp <= 0:
         raise ValueError("eps_lp must be positive")
@@ -167,14 +165,12 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     # Structural variables start at the bound closer to zero.
     start_low = np.abs(lp.lower) <= np.abs(lp.upper)
     x = np.where(start_low, lp.lower, lp.upper).astype(float)
-    vstat = np.where(start_low, _AT_LOWER, _AT_UPPER).astype(int)
-
     if m == 0:
-        basis = np.zeros(0, dtype=int)
-        _, stop = _simplex(a, b, lp.lower, lp.upper, lp.objective, x, vstat, basis, budget)
-        if stop:
-            return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, stop)
-        return LPResult(OPTIMAL, float(lp.objective @ x), x, 0.0)
+        c = lp.objective
+        x = np.where(c > _REDUCED_COST_TOL, lp.upper,
+                     np.where(c < -_REDUCED_COST_TOL, lp.lower, x))
+        return LPResult(OPTIMAL, float(c @ x), x, 0.0)
+    vstat = np.where(start_low, _AT_LOWER, _AT_UPPER).astype(int)
 
     r = b - a @ x
     art_sign = np.where(r >= 0, 1.0, -1.0)

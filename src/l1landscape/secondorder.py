@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_ZERO, MIDPOINT, _pair, as_vector, objective, subdifferential_model, subgradient_select
-from .firstorder import EPS_DIR, NotStationaryError, directional_derivative
+from .core import EPS_ZERO, _pair, as_vector, objective, subdifferential_model
+from .firstorder import EPS_DIR, NotStationaryError
 from .lpcore import EPS_LP, OPTIMAL, BoxEqLP, NumericalFailureError, solve
 from .stationarity import (
     GROUND_TRUTH_MINUS,
@@ -64,12 +64,11 @@ def second_subderivative(u, ustar, w, eps_zero: float = EPS_ZERO,
     if w.size != u.size:
         raise ValueError("direction dimension mismatch")
     _require_stationary(u, ustar, eps_zero)
-
-    if directional_derivative(u, ustar, w, eps_zero) > EPS_DIR:
+    model = subdifferential_model(u, ustar, eps_zero)
+    if model.support(w) > EPS_DIR:
         return math.inf
 
-    model = subdifferential_model(u, ustar, eps_zero)
-    constant = float(w @ model.fixed_sign.astype(float) @ w)
+    constant = float(w @ model.fixed_sign @ w)
     p = len(model.free_pairs)
     if p == 0:
         return constant
@@ -143,15 +142,14 @@ class PointClassification:
     descent_direction: np.ndarray | None = None
 
 
-def _steepest_descent_lp(u, ustar, eps_zero, eps_lp):
+def _steepest_descent_lp(model, eps_lp):
     """min df(u)(w) over the box ||w||_inf <= 1, negative iff u not stationary.
 
     Each free-pair term |L_d(w)| is split as p_d - q_d with p, q >= 0, so the
     LP maximizes -<c0, w> - sum(p + q); by separation the optimum is < 0
     exactly when 0 lies outside the subdifferential.
     """
-    model = subdifferential_model(u, ustar, eps_zero)
-    n = u.size
+    n = model.dim
     p = len(model.free_pairs)
     m = model.pair_matrix()
 
@@ -178,7 +176,8 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
     direction is the negated midpoint subgradient when that works; otherwise
     the minimum-infinity-norm subdifferential element, and as a last resort
     the direction minimizing df(u) over the unit box, which is negative by
-    separation whenever 0 is outside the subdifferential.
+    separation whenever 0 is outside the subdifferential. All three are read
+    from one subdifferential model, whose support function checks them.
     """
     u, ustar = _pair(u, ustar)
     verdict = is_stationary_closed_form(u, ustar, eps_zero)
@@ -192,20 +191,22 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
         w, value = escape_curvature(u, ustar, eps_zero, eps_lp)
         return PointClassification(SPURIOUS_STATIONARY, escape_direction=w, curvature=value)
 
+    model = subdifferential_model(u, ustar, eps_zero)
+
     def descend_along(g):
         norm = float(np.linalg.norm(g))
         if norm <= eps_zero:
             return None
         d = -g / norm
-        if directional_derivative(u, ustar, d, eps_zero) < -EPS_DIR:
+        if model.support(d) < -EPS_DIR:
             return d
         return None
 
-    d = descend_along(subgradient_select(u, ustar, MIDPOINT, eps_zero))
+    d = descend_along(model.fixed_vector())  # the midpoint subgradient
     if d is None:
-        d = descend_along(min_norm_element(subdifferential_model(u, ustar, eps_zero), eps_lp)[2])
+        d = descend_along(min_norm_element(model, eps_lp)[2])
     if d is None:
-        value, w = _steepest_descent_lp(u, ustar, eps_zero, eps_lp)
+        value, w = _steepest_descent_lp(model, eps_lp)
         if value < -EPS_DIR:
             d = w / float(np.linalg.norm(w))
     if d is None:

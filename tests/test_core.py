@@ -3,15 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l1landscape.core import (
-    AGREE,
-    DISAGREE,
-    ZERO,
+    EPS_ZERO,
     as_vector,
-    MIDPOINT,
     finite_difference_slope,
     midpoint_subgradient,
     objective,
-    residual,
     residual_pattern,
     subdifferential_model,
     subgradient_select,
@@ -38,27 +34,26 @@ def test_objective_known_values():
     assert objective([0.0, 0.0], [1.0, 0.0]) == 0.5
 
 
+def reference_sign(u, ustar, eps_zero=EPS_ZERO):
+    """np.sign of the residual with the zero band |r| <= eps_zero set to 0."""
+    r = np.outer(u, u) - np.outer(ustar, ustar)
+    return np.where(np.abs(r) <= eps_zero, 0.0, np.sign(r))
+
+
 def test_residual_pattern_spurious_point():
-    p = residual_pattern([-1.0, 1.0], [1.0, 1.0])
-    np.testing.assert_array_equal(p.entry_sign, [[0, -1], [-1, 0]])
-    assert p.j_equal == (0, 1)
-    assert p.j_greater == ()
-    assert p.j_less == ()
-    assert p.tags == (DISAGREE, AGREE)
+    np.testing.assert_array_equal(residual_pattern([-1.0, 1.0], [1.0, 1.0]),
+                                  [[0, -1], [-1, 0]])
 
 
 def test_residual_pattern_origin():
-    p = residual_pattern([0.0, 0.0], [1.0, 1.0])
-    assert p.j_less == (0, 1)
-    assert p.tags == (ZERO, ZERO)
-    np.testing.assert_array_equal(p.entry_sign, -np.ones((2, 2)))
+    np.testing.assert_array_equal(residual_pattern([0.0, 0.0], [1.0, 1.0]), -np.ones((2, 2)))
 
 
 def test_residual_pattern_mixed_index_sets():
-    p = residual_pattern([0.0, 2.0], [1.0, 0.0])
-    assert p.j_less == (0,)
-    assert p.j_greater == (1,)
-    assert p.tags == (ZERO, ZERO)
+    np.testing.assert_array_equal(residual_pattern([0.0, 2.0], [1.0, 0.0]),
+                                  [[-1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        residual_pattern([0.0, 2.0], [1.0, 0.0], eps_zero=0.0)
 
 
 def test_subgradient_select_midpoint_examples():
@@ -69,7 +64,7 @@ def test_subgradient_select_midpoint_examples():
 
 def test_midpoint_subgradient_stack_matches_single_points():
     """A (trials, n) stack gives each row the bits of the single-point call and
-    of Sign(residual) u built from residual_pattern."""
+    of Sign(residual) u built from an independent np.sign reference."""
     rng = np.random.default_rng(11)
     for n in (2, 3, 10):
         ustar = rng.standard_normal(n)
@@ -84,23 +79,8 @@ def test_midpoint_subgradient_stack_matches_single_points():
         assert stack.shape == (12, n)
         assert not stack[1].any()
         for row, g in zip(u, stack):
-            sigma = residual_pattern(row, ustar).entry_sign.astype(float)
-            np.testing.assert_array_equal(g, sigma @ row)
-            np.testing.assert_array_equal(g, subgradient_select(row, ustar, MIDPOINT))
-
-
-def test_subgradient_select_custom_matrix_validation():
-    u, ustar = [-1.0, 1.0], [1.0, 1.0]
-    # diagonal entries are free at this point, off-diagonal fixed at -1
-    s = np.array([[0.5, -1.0], [-1.0, -0.25]])
-    g = subgradient_select(u, ustar, rule=s)
-    np.testing.assert_allclose(g, s @ np.asarray(u))
-    with pytest.raises(ValueError):
-        subgradient_select(u, ustar, rule=np.array([[0.0, 1.0], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        subgradient_select(u, ustar, rule=np.array([[2.0, -1.0], [-1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        subgradient_select(u, ustar, rule=np.array([[0.0, -1.0], [0.5, 0.0]]))
+            np.testing.assert_array_equal(g, reference_sign(row, ustar) @ row)
+            np.testing.assert_array_equal(g, subgradient_select(row, ustar))
 
 
 def test_finite_difference_slope_examples():
@@ -147,11 +127,7 @@ def test_as_vector_rejects_bad_input():
 def test_entry_sign_matches_residual_sign(pairs):
     u = [p[0] for p in pairs]
     ustar = [p[1] for p in pairs]
-    p = residual_pattern(u, ustar)
-    r = residual(u, ustar)
-    big = np.abs(r) > 1e-9
-    np.testing.assert_array_equal(p.entry_sign[big], np.sign(r[big]).astype(np.int8))
-    assert np.all(p.entry_sign[~big] == 0)
+    np.testing.assert_array_equal(residual_pattern(u, ustar), reference_sign(u, ustar))
 
 
 @given(vectors)

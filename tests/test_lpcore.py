@@ -51,11 +51,21 @@ def brute_force_value(lp):
 
 
 def test_box_only_maximum():
-    res = solve(BoxEqLP([-1.0], [1.0], np.zeros((0, 1)), [], [1.0]))
-    assert res.status == OPTIMAL
-    assert res.reason is None
-    assert res.value == 1.0
-    np.testing.assert_array_equal(res.solution, [1.0])
+    cases = [  # (lower, upper, cost, x, value)
+        ([-1.0], [1.0], [1.0], [1.0], 1.0),
+        # mixed-sign costs: each variable goes to the bound its cost points to
+        ([-1.0, -2.0, 0.0], [1.0, 3.0, 2.0], [2.0, -1.0, 0.5], [1.0, -2.0, 2.0], 5.0),
+        # a zero cost leaves the variable at its start, the bound closer to 0
+        ([-2.0, -1.0, -1.0], [3.0, 1.0, 0.5], [0.0, 1.0, 0.0], [-2.0, 1.0, 0.5], 1.0),
+        # a fixed variable (lower = upper) stays put whatever its cost
+        ([0.5, -1.0], [0.5, 1.0], [-3.0, -1.0], [0.5, -1.0], -0.5),
+    ]
+    for lower, upper, cost, x, value in cases:
+        res = solve(BoxEqLP(lower, upper, np.zeros((0, len(lower))), [], cost))
+        assert res.status == OPTIMAL
+        assert res.reason is None
+        assert res.value == value
+        np.testing.assert_array_equal(res.solution, x)
 
 
 def test_feasibility_on_hyperplane():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l1landscape.core import MIDPOINT, subdifferential_model, subgradient_select
+from l1landscape import secondorder
+from l1landscape.core import SubdifferentialModel, subdifferential_model, subgradient_select
 from l1landscape.firstorder import EPS_DIR, NotStationaryError, critical_cone, directional_derivative
 from l1landscape.secondorder import (
     GLOBAL_MIN,
@@ -185,12 +186,19 @@ def test_classify_point_examples():
     assert directional_derivative([0.5, 0.2], ustar, d) < 0.0
 
 
+# A box-face point where -midpoint does not descend and the min-norm element
+# does (the FALLBACK input of the CLI tests), and one where neither does, so
+# the steepest-descent LP decides.
+MIN_NORM_POINT = (np.array([-0.7278215444386658, 0.344234196431766, -0.30043137049255364]),
+                  np.array([-0.7278215444386658, -1.2948348672230032, 0.30043137049255364]))
+STEEPEST_LP_POINT = (np.array([0.31, 0.52]), np.array([-0.44, 0.52]))
+
+
 def test_classify_point_min_norm_fallback():
     """At this box-face point -midpoint does not descend; the min-norm element
     does, so it decides the direction before the steepest-descent LP."""
-    u = np.array([-0.7278215444386658, 0.344234196431766, -0.30043137049255364])
-    ustar = np.array([-0.7278215444386658, -1.2948348672230032, 0.30043137049255364])
-    g = subgradient_select(u, ustar, MIDPOINT)
+    u, ustar = MIN_NORM_POINT
+    g = subgradient_select(u, ustar)
     assert directional_derivative(u, ustar, -g / np.linalg.norm(g)) >= -EPS_DIR
 
     _, _, element = min_norm_element(subdifferential_model(u, ustar))
@@ -199,6 +207,33 @@ def test_classify_point_min_norm_fallback():
     np.testing.assert_array_equal(res.descent_direction,
                                   -element / float(np.linalg.norm(element)))
     assert directional_derivative(u, ustar, res.descent_direction) < -EPS_DIR
+
+
+@pytest.mark.parametrize("point, steepest_calls", [(MIN_NORM_POINT, 0), (STEEPEST_LP_POINT, 1)])
+def test_classify_point_builds_one_model(monkeypatch, point, steepest_calls):
+    """Every candidate direction, the min-norm element and the steepest-descent
+    LP are read from a single subdifferential model."""
+    models = []
+    init = SubdifferentialModel.__init__
+
+    def counting_init(self, *args):
+        models.append(self)
+        init(self, *args)
+
+    steepest = []
+    lp = secondorder._steepest_descent_lp
+
+    def counting_lp(*args):
+        steepest.append(args)
+        return lp(*args)
+
+    monkeypatch.setattr(SubdifferentialModel, "__init__", counting_init)
+    monkeypatch.setattr(secondorder, "_steepest_descent_lp", counting_lp)
+    res = classify_point(*point)
+    assert res.kind == NOT_STATIONARY
+    assert len(models) == 1
+    assert len(steepest) == steepest_calls
+    assert directional_derivative(*point, res.descent_direction) < -EPS_DIR
 
 
 def test_classify_point_zero_ground_truth():
