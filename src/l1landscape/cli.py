@@ -136,6 +136,10 @@ def _verdict_dict(v) -> dict:
             "violation": v.violation}
 
 
+def _certifiers_agree(cf, lp) -> bool:
+    return cf.is_stationary == lp.is_stationary and cf.kind == lp.kind
+
+
 def _vec(u) -> list:
     return [float(x) for x in u]
 
@@ -151,7 +155,7 @@ def cmd_certify(settings: Settings) -> int:
 
     cf = is_stationary_closed_form(u, g, eps_zero)
     lp = is_stationary_lp(u, g, eps_zero, eps_lp)
-    agree = cf.is_stationary == lp.is_stationary and cf.kind == lp.kind
+    agree = _certifiers_agree(cf, lp)
     cls = classify_point(u, g, eps_zero, eps_lp)
 
     payload = {
@@ -329,7 +333,7 @@ def cmd_landscape(settings: Settings) -> int:
     for u in grid.points():
         cf = is_stationary_closed_form(u, g, eps_zero)
         lp = is_stationary_lp(u, g, eps_zero, eps_lp)
-        agree = cf.is_stationary == lp.is_stationary and cf.kind == lp.kind
+        agree = _certifiers_agree(cf, lp)
         disagreements += 0 if agree else 1
         writer.writerow([f"{u[0]:.17g}", f"{u[1]:.17g}",
                          str(cf.is_stationary).lower(), cf.kind,

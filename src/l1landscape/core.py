@@ -95,13 +95,16 @@ class SubdifferentialModel:
 
     The represented set is {S u : S symmetric, S_ij = fixed_sign_ij on fixed
     entries, S_ij in [-1, 1] on free pairs}. A free unordered pair {i, j}
-    carries a single scalar (symmetry), listed once with i <= j. The matrices
+    carries a single scalar (symmetry), listed once with i <= j. free_pairs
+    is a (p, 2) int array of these pairs in upper-triangle order, row by row;
+    row d is column d of pair_matrix() and entry d of the free values, which
+    makes it the column order of every LP built on the model. The matrices
     S with S u = 0 form the second-order face Q(u): free values x with
     pair_matrix() @ x = -fixed_vector(), assembled by assemble(x).
     """
 
     fixed_sign: np.ndarray               # (n, n) float in {-1, 0, +1}, 0 on free entries
-    free_pairs: list[tuple[int, int]]    # unordered pairs (i <= j), residual zero
+    free_pairs: np.ndarray               # (p, 2) int rows (i, j), i <= j, residual zero
     base_point: np.ndarray               # u
 
     @property
@@ -120,18 +123,20 @@ class SubdifferentialModel:
         contributes u_j to coordinate i and u_i to coordinate j.
         """
         u = self.base_point
-        m = np.zeros((self.dim, len(self.free_pairs)))
-        for p, (i, j) in enumerate(self.free_pairs):
-            m[i, p] = u[j]   # a diagonal pair writes u_i twice
-            m[j, p] = u[i]
+        i, j = self.free_pairs.T
+        col = np.arange(i.size)
+        m = np.zeros((self.dim, i.size))
+        m[i, col] = u[j]   # a diagonal pair writes u_i twice
+        m[j, col] = u[i]
         return m
 
     def assemble(self, free_values) -> np.ndarray:
         """Full symmetric matrix S from values for the free pairs."""
         s = self.fixed_sign.copy()
-        for (i, j), v in zip(self.free_pairs, np.asarray(free_values, dtype=float)):
-            s[i, j] = v
-            s[j, i] = v
+        i, j = self.free_pairs.T
+        v = np.asarray(free_values, dtype=float)
+        s[i, j] = v
+        s[j, i] = v
         return s
 
     def contains(self, q, eps_lp: float = EPS_LP) -> bool:
@@ -161,9 +166,9 @@ class SubdifferentialModel:
 def subdifferential_model(u, ustar, eps_zero: float = EPS_ZERO) -> SubdifferentialModel:
     u, ustar = _pair(u, ustar)
     sign = residual_pattern(u, ustar, eps_zero)
-    n = u.size
-    free_pairs = [(i, j) for i in range(n) for j in range(i, n) if sign[i, j] == 0]
-    return SubdifferentialModel(sign, free_pairs, u)
+    i, j = np.nonzero(sign == 0)   # row-major, so the upper triangle row by row
+    upper = i <= j
+    return SubdifferentialModel(sign, np.column_stack((i[upper], j[upper])), u)
 
 
 def midpoint_subgradient(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:

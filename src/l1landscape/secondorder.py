@@ -53,17 +53,22 @@ def _require_stationary(u, ustar, eps_zero):
 
 def second_subderivative(u, ustar, w, eps_zero: float = EPS_ZERO,
                          eps_lp: float = EPS_LP) -> float:
-    """d2f(u;0)(w): +inf off the critical cone, else an LP over the face.
-
-    The face objective <Q, w w^T> splits into the fixed-entry constant plus
-    w_i^2 per free diagonal coordinate and 2 w_i w_j per free off-diagonal
-    pair.
-    """
+    """d2f(u;0)(w): +inf off the critical cone, else an LP over the face."""
     u, ustar = _pair(u, ustar)
     w = as_vector(w)
     if w.size != u.size:
         raise ValueError("direction dimension mismatch")
     _require_stationary(u, ustar, eps_zero)
+    return _second_subderivative(u, ustar, w, eps_zero, eps_lp)
+
+
+def _second_subderivative(u, ustar, w, eps_zero, eps_lp):
+    """second_subderivative at a point already certified stationary.
+
+    The face objective <Q, w w^T> splits into the fixed-entry constant plus
+    w_i^2 per free diagonal coordinate and 2 w_i w_j per free off-diagonal
+    pair.
+    """
     model = subdifferential_model(u, ustar, eps_zero)
     if model.support(w) > EPS_DIR:
         return math.inf
@@ -72,8 +77,8 @@ def second_subderivative(u, ustar, w, eps_zero: float = EPS_ZERO,
     p = len(model.free_pairs)
     if p == 0:
         return constant
-    coeffs = np.array([w[i] * w[j] if i == j else 2.0 * w[i] * w[j]
-                       for i, j in model.free_pairs])
+    i, j = model.free_pairs.T
+    coeffs = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
     lp = BoxEqLP(-np.ones(p), np.ones(p), model.pair_matrix(), -model.fixed_vector(), coeffs)
     res = solve(lp, eps_lp)
     if res.status != OPTIMAL:
@@ -92,8 +97,13 @@ def escape_curvature(u, ustar, eps_zero: float = EPS_ZERO,
     verdict = _require_stationary(u, ustar, eps_zero)
     if verdict.kind != SPURIOUS:
         raise ValueError("escape curvature is defined at spurious stationary points")
+    return _escape_curvature(u, ustar, eps_zero, eps_lp)
+
+
+def _escape_curvature(u, ustar, eps_zero, eps_lp):
+    """escape_curvature at a point already certified spurious."""
     w = ustar - u
-    value = second_subderivative(u, ustar, w, eps_zero, eps_lp)
+    value = _second_subderivative(u, ustar, w, eps_zero, eps_lp)
     expected = -float(np.abs(ustar).sum()) ** 2
     if abs(value - expected) > 1e-9:
         raise ArithmeticError(
@@ -188,7 +198,7 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
             # ustar = 0 makes u = 0 the unique stationary point and the
             # global minimum; there is nothing to escape from.
             return PointClassification(GLOBAL_MIN)
-        w, value = escape_curvature(u, ustar, eps_zero, eps_lp)
+        w, value = _escape_curvature(u, ustar, eps_zero, eps_lp)
         return PointClassification(SPURIOUS_STATIONARY, escape_direction=w, curvature=value)
 
     model = subdifferential_model(u, ustar, eps_zero)

@@ -124,14 +124,14 @@ def certify_sharp_local_min_tilted_f(ustar, u0, a, eps_zero: float = EPS_ZERO):
         raise ValueError("tilt must be a 2-vector")
 
     model = subdifferential_model(u0, ustar, eps_zero)
+    i, j = model.free_pairs.T
+    if np.any(i != j):
+        raise ValueError("instance has a non-diagonal free entry; "
+                         "the box description does not apply")
     lo = model.fixed_vector().copy()
     hi = lo.copy()
-    for i, j in model.free_pairs:
-        if i != j:
-            raise ValueError("instance has a non-diagonal free entry; "
-                             "the box description does not apply")
-        lo[i] -= abs(u0[i])
-        hi[i] += abs(u0[i])
+    lo[i] -= np.abs(u0[i])   # diagonal pairs name each coordinate once
+    hi[i] += np.abs(u0[i])
     lo -= a
     hi -= a
     modulus = float(np.minimum(-lo, hi).min())

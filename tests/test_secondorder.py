@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l1landscape import secondorder
-from l1landscape.core import SubdifferentialModel, subdifferential_model, subgradient_select
+from l1landscape.core import (
+    SubdifferentialModel,
+    residual_pattern,
+    subdifferential_model,
+    subgradient_select,
+)
 from l1landscape.firstorder import EPS_DIR, NotStationaryError, critical_cone, directional_derivative
 from l1landscape.secondorder import (
     GLOBAL_MIN,
@@ -236,6 +241,35 @@ def test_classify_point_builds_one_model(monkeypatch, point, steepest_calls):
     assert directional_derivative(*point, res.descent_direction) < -EPS_DIR
 
 
+@pytest.mark.parametrize("point, kind", [
+    (([-1.0, 1.0], [1.0, 1.0]), SPURIOUS_STATIONARY),
+    (MIN_NORM_POINT, NOT_STATIONARY),
+    (STEEPEST_LP_POINT, NOT_STATIONARY),
+])
+def test_classify_point_runs_closed_form_once(monkeypatch, point, kind):
+    """The escape path and the descent path reuse the first closed-form
+    verdict instead of certifying the point again."""
+    verdicts = []
+    closed_form = secondorder.is_stationary_closed_form
+
+    def counting_closed_form(*args):
+        verdicts.append(args)
+        return closed_form(*args)
+
+    models = []
+    init = SubdifferentialModel.__init__
+
+    def counting_init(self, *args):
+        models.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(secondorder, "is_stationary_closed_form", counting_closed_form)
+    monkeypatch.setattr(SubdifferentialModel, "__init__", counting_init)
+    assert classify_point(*point).kind == kind
+    assert len(verdicts) == 1
+    assert len(models) == 1
+
+
 def test_classify_point_zero_ground_truth():
     assert classify_point([0.0, 0.0], [0.0, 0.0]).kind == GLOBAL_MIN
     assert classify_point([0.3, 0.0], [0.0, 0.0]).kind == NOT_STATIONARY
@@ -264,3 +298,99 @@ def test_classifier_soundness_on_random_points():
             assert directional_derivative(u, ustar, res.descent_direction) < 0.0
         if res.kind == SPURIOUS_STATIONARY:
             assert res.curvature < 0.0
+
+
+# Reference model: the free pairs, pair matrix, assembly and face-LP
+# coefficients written as plain loops over the pairs, one at a time.
+def reference_free_pairs(sign):
+    n = sign.shape[0]
+    return [(i, j) for i in range(n) for j in range(i, n) if sign[i, j] == 0]
+
+
+def reference_pair_matrix(u, pairs):
+    m = np.zeros((u.size, len(pairs)))
+    for d, (i, j) in enumerate(pairs):
+        m[i, d] = u[j]
+        m[j, d] = u[i]
+    return m
+
+
+def reference_assemble(sign, pairs, values):
+    s = sign.copy()
+    for (i, j), v in zip(pairs, values):
+        s[i, j] = v
+        s[j, i] = v
+    return s
+
+
+def reference_face_coefficients(pairs, w):
+    return np.array([w[i] * w[j] if i == j else 2.0 * w[i] * w[j] for i, j in pairs])
+
+
+def reference_points(rng, n):
+    """(label, u, ustar) per input class."""
+    ustar = rng.standard_normal(n)
+    yield "spurious", *random_spurious(rng, n)
+    sparse = ustar.copy()
+    sparse[1:][rng.random(n - 1) < 0.5] = 0.0
+    u, _ = project_to_spurious_set(2.0 * rng.standard_normal(n), sparse)
+    yield "ustar_i = u_i = 0", u, sparse
+    yield "all free", np.zeros(n), np.zeros(n)
+    face = rng.standard_normal(n)
+    on = rng.random(n) < 0.6
+    face[on] = rng.choice([-1.0, 1.0], on.sum()) * ustar[on]
+    yield "box face", face, ustar
+    zeroed = rng.standard_normal(n)
+    zeroed[sparse == 0.0] = 0.0
+    yield "non-stationary, ustar_i = u_i = 0", zeroed, sparse
+    yield "generic", rng.standard_normal(n), ustar
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_array_model_matches_loop_reference(monkeypatch):
+    """Free-pair order, pair matrix, assembly and face-LP coefficients agree
+    bit for bit with the loop reference, on every input class."""
+    objectives = []
+    solve = secondorder.solve
+
+    def recording_solve(lp, *args):
+        objectives.append(lp.objective)
+        return solve(lp, *args)
+
+    monkeypatch.setattr(secondorder, "solve", recording_solve)
+    rng = np.random.default_rng(61)
+    seen = set()
+    for n in range(1, 13):
+        for label, u, ustar in reference_points(rng, n):
+            model = subdifferential_model(u, ustar)
+            sign = residual_pattern(u, ustar)
+            pairs = reference_free_pairs(sign)
+            p = len(pairs)
+            assert model.free_pairs.shape == (p, 2)
+            assert model.free_pairs.tolist() == [list(pair) for pair in pairs]
+            assert same_bits(model.pair_matrix(), reference_pair_matrix(model.base_point, pairs))
+            values = rng.uniform(-1.0, 1.0, p)
+            assert same_bits(model.assemble(values), reference_assemble(sign, pairs, values))
+            if label == "generic":
+                assert p == 0
+            if label == "all free":
+                assert p == n * (n + 1) // 2
+            seen.add((label, p > 0))
+
+            if not is_stationary_closed_form(u, ustar).is_stationary:
+                continue
+            directions = [ustar - u, -ustar - u] if np.any(ustar) else [rng.standard_normal(n)]
+            for w in directions:
+                objectives.clear()
+                second_subderivative(u, ustar, w)
+                if p == 0:
+                    assert objectives == []
+                else:
+                    assert len(objectives) == 1
+                    assert same_bits(objectives[0], reference_face_coefficients(pairs, w))
+    for label in ("spurious", "ustar_i = u_i = 0", "all free", "box face",
+                  "non-stationary, ustar_i = u_i = 0"):
+        assert (label, True) in seen
