@@ -95,17 +95,26 @@ class Trajectory:
         return self.points[-1]
 
 
+def _sized_vector(value, n: int, source: str) -> np.ndarray:
+    """as_vector for a user callable's output, which must have shape (n,)
+    rather than broadcast against the iterate."""
+    v = as_vector(value)
+    if v.shape != (n,):
+        raise ValueError(f"{source} returned shape {v.shape}, expected ({n},)")
+    return v
+
+
 def run_subgradient(u0, ustar, schedule: StepSchedule,
                     max_iters: int = DEFAULT_MAX_ITERS,
                     stop_tol: float = DEFAULT_TAU_SUCC,
                     selection=None) -> Trajectory:
     """Subgradient iteration with full per-iterate diagnostics.
 
-    selection None takes the midpoint element; a callable (u, k) -> g swaps
-    in any other choice (the iteration does not check such a g against the
-    subdifferential, that is the caller's contract). Stops early when the
-    distance to {+-ustar} drops to stop_tol or the selected subgradient
-    vanishes; the final row records step 0.
+    selection None takes the midpoint element; a callable (u, k) -> g of
+    shape (n,) swaps in any other choice (the iteration does not check such
+    a g against the subdifferential, that is the caller's contract). Stops
+    early when the distance to {+-ustar} drops to stop_tol or the selected
+    subgradient vanishes; the final row records step 0.
     """
     u, ustar = _pair(u0, ustar)
     if max_iters < 1:
@@ -124,7 +133,7 @@ def run_subgradient(u0, ustar, schedule: StepSchedule,
         if selection is None:
             g = midpoint_subgradient(u, ustar)
         else:
-            g = as_vector(selection(u, k))
+            g = _sized_vector(selection(u, k), u.size, "selection(u, k)")
         if np.abs(g).max() == 0.0:
             record(k - 1, u, dist_gt, 0.0)
             break
@@ -208,12 +217,12 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
     """Monte Carlo convergence counts for the subgradient method.
 
     Each trial draws its start from init (standard Gaussian by default, or a
-    callable rng -> vector) using an rng keyed by (seed, trial index), runs
-    max_iters steps, and is labeled by its final state: success within
-    tau_succ of a ground truth, trapped within tau_trap of the spurious
-    polytope, undecided otherwise. selection is as in run_subgradient; with
-    None all trials step in lockstep. Aggregation is in trial order, so the
-    report is reproducible bit for bit.
+    callable rng -> vector of shape (n,)) using an rng keyed by (seed, trial
+    index), runs max_iters steps, and is labeled by its final state: success
+    within tau_succ of a ground truth, trapped within tau_trap of the
+    spurious polytope, undecided otherwise. selection is as in
+    run_subgradient; with None all trials step in lockstep. Aggregation is
+    in trial order, so the report is reproducible bit for bit.
     """
     ustar = as_vector(ustar)
     if trials < 1:
@@ -225,7 +234,8 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
     finals = np.empty((trials, n))
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        finals[t] = rng.standard_normal(n) if init == "gaussian" else as_vector(init(rng))
+        finals[t] = (rng.standard_normal(n) if init == "gaussian"
+                     else _sized_vector(init(rng), n, "init(rng)"))
 
     if selection is None:
         # All trials in lockstep; each row gets run_subgradient's bits.

@@ -11,6 +11,11 @@ representation over a face of that polytope). The solver is a two-phase
 bounded-variable primal simplex with Bland's rule for the entering variable,
 so runs are deterministic and cycling cannot persist. Instances here are tiny
 and dense; robustness is worth more than speed.
+
+Two shapes are answered in closed form without a pivot: solve() with no
+equality rows (m = 0), and the epigraph program of
+feasibility_min_infinity_norm() when the box has no free column or no row
+can move, where the optimum is ||A x0||_inf.
 """
 
 from __future__ import annotations
@@ -212,6 +217,12 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     Introduces t >= 0 with rows (A x)_i - t + p_i = 0 and (A x)_i + t - q_i = 0
     for slack p, q in [0, 2 T], where T bounds |A x| over the box, and
     maximizes -t. A value <= eps_lp certifies that 0 lies in A . box.
+
+    A presolve answers two cases without building the program: no free
+    column (lower == upper), and no row that can move (every |A_ij| times
+    the bound of column j is 0). Both return ||A x0||_inf and x0, where x0
+    takes each column's bound closer to 0 (Andersen & Andersen, "Presolving
+    in linear programming", Math. Programming 71, 1995).
     """
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
@@ -230,8 +241,9 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
         return 0.0, x0
     row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)
     t_cap = float(row_bound.max())
-    if t_cap == 0.0:
-        return 0.0, x0
+    if t_cap == 0.0 or np.array_equal(lower, upper):
+        # x0 is the only feasible x, or every row is 0 on the whole box.
+        return float(np.abs(a @ x0).max()) + 0.0, x0
 
     # Variable layout: [x (k), t (1), p (m), q (m)].
     total = k + 1 + 2 * m

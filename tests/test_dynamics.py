@@ -160,6 +160,19 @@ def test_conjecture_probe_single_trial_at_ground_truth():
     assert report.labels == (SUCCESS,)
 
 
+def test_conjecture_probe_rejects_a_wrong_size_init():
+    # a length-1 start would otherwise broadcast one value to every coordinate
+    with pytest.raises(ValueError, match=r"init\(rng\) returned shape \(1,\)"):
+        conjecture_probe([1.0, -0.5, 2.0], init=lambda rng: [0.5], trials=2, max_iters=5)
+
+
+def test_run_subgradient_rejects_a_wrong_size_selection():
+    # a length-1 g would otherwise step every coordinate by the same amount
+    with pytest.raises(ValueError, match=r"selection\(u, k\) returned shape \(1,\)"):
+        run_subgradient([0.5, 0.2, 0.1], [1.0, 1.0, 1.0], StepSchedule(INV_K, 0.1),
+                        max_iters=5, selection=lambda u, k: [1.0])
+
+
 def test_batch_and_per_trial_paths_agree():
     """The lockstep probe, the per-trial probe and run_subgradient from the same
     starts end on the same bits."""

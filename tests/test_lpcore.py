@@ -180,3 +180,35 @@ def test_objective_scaling(alpha, seed):
     v1 = solve(lp).value
     v2 = solve(scaled).value
     assert v2 == pytest.approx(alpha * v1, rel=1e-9, abs=1e-9)
+
+
+def test_min_infinity_norm_presolve_agrees_with_simplex(monkeypatch):
+    """With every column fixed the answer is ||A lower||_inf, read without a
+    pivot; one extra zero column on [-1, 1] leaves the optimum unchanged but
+    frees a column, so the simplex must find the same value."""
+    calls = []
+    simplex = lpcore.solve
+
+    def counting_solve(*args):
+        calls.append(args)
+        return simplex(*args)
+
+    monkeypatch.setattr(lpcore, "solve", counting_solve)
+    rng = np.random.default_rng(8)
+    for trial in range(120):
+        m, k = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+        a = rng.standard_normal((m, k))
+        a[rng.random(m) < 0.2] = 0.0  # some zero rows
+        lower = [-rng.uniform(0.1, 2.0, k), np.zeros(k),
+                 rng.uniform(-2.0, 2.0, k)][trial % 3]
+        value, x = feasibility_min_infinity_norm(lower, lower, a)
+        assert not calls
+        assert value == np.abs(a @ lower).max()
+        np.testing.assert_array_equal(x, lower)
+
+        freed = np.hstack([a, np.zeros((m, 1))])
+        lo, hi = np.append(lower, -1.0), np.append(lower, 1.0)
+        simplex_value, _ = feasibility_min_infinity_norm(lo, hi, freed)
+        assert len(calls) == (value > 0.0)
+        calls.clear()
+        assert abs(simplex_value - value) <= 1e-12

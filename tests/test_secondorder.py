@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l1landscape import secondorder
+from l1landscape import secondorder, stationarity
 from l1landscape.core import (
     SubdifferentialModel,
     residual_pattern,
@@ -217,7 +217,9 @@ def test_classify_point_min_norm_fallback():
 @pytest.mark.parametrize("point, steepest_calls", [(MIN_NORM_POINT, 0), (STEEPEST_LP_POINT, 1)])
 def test_classify_point_builds_one_model(monkeypatch, point, steepest_calls):
     """Every candidate direction, the min-norm element and the steepest-descent
-    LP are read from a single subdifferential model."""
+    LP are read from a single subdifferential model. Both points reach the
+    min-norm element through one feasibility_min_infinity_norm call, the call
+    perfbench's tracer counts as a fallback."""
     models = []
     init = SubdifferentialModel.__init__
 
@@ -232,12 +234,21 @@ def test_classify_point_builds_one_model(monkeypatch, point, steepest_calls):
         steepest.append(args)
         return lp(*args)
 
+    min_norm = []
+    fmin = stationarity.feasibility_min_infinity_norm
+
+    def counting_fmin(*args):
+        min_norm.append(args)
+        return fmin(*args)
+
     monkeypatch.setattr(SubdifferentialModel, "__init__", counting_init)
     monkeypatch.setattr(secondorder, "_steepest_descent_lp", counting_lp)
+    monkeypatch.setattr(stationarity, "feasibility_min_infinity_norm", counting_fmin)
     res = classify_point(*point)
     assert res.kind == NOT_STATIONARY
     assert len(models) == 1
     assert len(steepest) == steepest_calls
+    assert len(min_norm) == 1
     assert directional_derivative(*point, res.descent_direction) < -EPS_DIR
 
 

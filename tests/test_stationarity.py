@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l1landscape.core import residual, sign_scalar
+from l1landscape import lpcore, stationarity
+from l1landscape.core import residual, sign_scalar, subdifferential_model
 from l1landscape.lpcore import NumericalFailureError
 from l1landscape.stationarity import (
     GROUND_TRUTH_MINUS,
@@ -76,6 +77,37 @@ def test_lp_route_reports_violation_magnitude():
     verdict = is_stationary_lp([2.0, 0.0], [1.0, 0.0])
     assert not verdict.is_stationary
     assert verdict.violation == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("u, ustar, kind", [
+    ([0.5, 0.2], [1.0, 1.0], NOT_STATIONARY),
+    # u_1 + u_2 = -4.4e-16 puts u on the plane within eps_zero; no residual
+    # entry vanishes, so the violation is the gradient's norm, 4.4e-16
+    ([-0.3333333333333335, 0.33333333333333304], [1.0, 1.0], SPURIOUS),
+])
+def test_lp_certifier_reads_a_differentiable_point_without_pivots(monkeypatch, u, ustar, kind):
+    """With no free pair the subdifferential is the one vector fixed_vector(),
+    and the epigraph presolve returns its norm without calling the simplex."""
+    fmin_calls, solve_calls = [], []
+    fmin, simplex = stationarity.feasibility_min_infinity_norm, lpcore.solve
+
+    def counting_fmin(*args):
+        fmin_calls.append(args)
+        return fmin(*args)
+
+    def counting_solve(*args):
+        solve_calls.append(args)
+        return simplex(*args)
+
+    monkeypatch.setattr(stationarity, "feasibility_min_infinity_norm", counting_fmin)
+    monkeypatch.setattr(lpcore, "solve", counting_solve)
+    verdict = is_stationary_lp(u, ustar)
+    assert len(fmin_calls) == 1
+    assert not solve_calls
+    assert verdict.kind == kind == is_stationary_closed_form(u, ustar).kind
+    model = subdifferential_model(u, ustar)
+    assert len(model.free_pairs) == 0
+    assert verdict.violation == float(np.abs(model.fixed_vector()).max())
 
 
 def test_closed_form_witness_is_valid_subgradient():
