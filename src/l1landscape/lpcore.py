@@ -16,6 +16,9 @@ Two shapes are answered in closed form without a pivot: solve() with no
 equality rows (m = 0), and the epigraph program of
 feasibility_min_infinity_norm() when the box has no free column or no row
 can move, where the optimum is ||A x0||_inf.
+
+Every OPTIMAL result carries the row duals of its final basis, from which
+feasibility_min_infinity_norm() reads a certificate w of its value.
 """
 
 from __future__ import annotations
@@ -83,21 +86,23 @@ class LPResult:
     solution: np.ndarray | None
     residual_norm: float
     reason: str | None = None  # set whenever status is not OPTIMAL
+    duals: np.ndarray | None = None  # (m,) row duals y, set when OPTIMAL
 
 
 def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
     """Run primal pivots in place on at least one row; return (pivots_used,
-    stop), where stop is None at optimality, else PIVOT_BUDGET or
-    SINGULAR_BASIS."""
+    stop, y), where stop is None at optimality, else PIVOT_BUDGET or
+    SINGULAR_BASIS. At optimality y solves B^T y = c_B for the final basis B:
+    the row duals from the pricing step that found no entering variable."""
     pivots = 0
     while True:
         if pivots >= budget:
-            return pivots, PIVOT_BUDGET
+            return pivots, PIVOT_BUDGET, None
         bmat = a[:, basis]
         try:
             y = np.linalg.solve(bmat.T, c[basis])
         except np.linalg.LinAlgError:
-            return pivots, SINGULAR_BASIS
+            return pivots, SINGULAR_BASIS, None
         d = c - (a.T @ y)
         eligible = (
             (((vstat == _AT_LOWER) & (d > _REDUCED_COST_TOL))
@@ -106,14 +111,14 @@ def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
         )
         idx = np.flatnonzero(eligible)
         if idx.size == 0:
-            return pivots, None
+            return pivots, None, y
         enter = int(idx[0])  # Bland: smallest eligible index
         direction = 1.0 if vstat[enter] == _AT_LOWER else -1.0
 
         try:
             col = np.linalg.solve(bmat, a[:, enter])
         except np.linalg.LinAlgError:
-            return pivots, SINGULAR_BASIS
+            return pivots, SINGULAR_BASIS, None
         t_flip = hi[enter] - lo[enter]
         g = direction * col
         xb = x[basis]
@@ -155,10 +160,10 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     cannot); phase 2 then optimizes the real objective with the artificials
     pinned at zero. Pivots in both phases share one budget of
     10 * (k + m)^2, after which the result is NUMERICAL_FAILURE. Every
-    result that is not OPTIMAL says why in its reason. Without equality rows
-    the maximum is closed form: each variable sits at the bound its cost
-    points to, and at its start where the cost is within the reduced-cost
-    tolerance of 0.
+    result that is not OPTIMAL says why in its reason; an OPTIMAL one carries
+    the row duals of its final basis. Without equality rows the maximum is
+    closed form: each variable sits at the bound its cost points to, and at
+    its start where the cost is within the reduced-cost tolerance of 0.
     """
     if eps_lp <= 0:
         raise ValueError("eps_lp must be positive")
@@ -174,7 +179,7 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
         c = lp.objective
         x = np.where(c > _REDUCED_COST_TOL, lp.upper,
                      np.where(c < -_REDUCED_COST_TOL, lp.lower, x))
-        return LPResult(OPTIMAL, float(c @ x), x, 0.0)
+        return LPResult(OPTIMAL, float(c @ x), x, 0.0, duals=np.zeros(0))
     vstat = np.where(start_low, _AT_LOWER, _AT_UPPER).astype(int)
 
     r = b - a @ x
@@ -187,7 +192,7 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     basis = np.arange(k, k + m)
 
     c1 = np.concatenate([np.zeros(k), -np.ones(m)])
-    used, stop = _simplex(a1, b, lo1, hi1, c1, x1, vstat1, basis, budget)
+    used, stop, _ = _simplex(a1, b, lo1, hi1, c1, x1, vstat1, basis, budget)
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 1")
     infeas = float(np.abs(b - a @ x1[:k]).max())
@@ -199,7 +204,7 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     hi1[k:] = 0.0
     x1[k:] = 0.0
     c2 = np.concatenate([lp.objective, np.zeros(m)])
-    _, stop = _simplex(a1, b, lo1, hi1, c2, x1, vstat1, basis, budget - used)
+    _, stop, y = _simplex(a1, b, lo1, hi1, c2, x1, vstat1, basis, budget - used)
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 2")
 
@@ -207,23 +212,31 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     residual_norm = float(np.abs(a @ xs - b).max())
     if residual_norm > eps_lp:
         return LPResult(NUMERICAL_FAILURE, np.nan, xs, residual_norm, RESIDUAL_ABOVE_EPS)
-    return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm)
+    return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm, duals=y)
 
 
 def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_LP):
-    """(value, x): min over the box of ||A x||_inf and a minimizing x, by an
-    epigraph reformulation.
+    """(value, x, w): min over the box of ||A x||_inf, a minimizing x, and a
+    dual certificate w, by an epigraph reformulation.
 
     Introduces t >= 0 with rows (A x)_i - t + p_i = 0 and (A x)_i + t - q_i = 0
     for slack p, q in [0, 2 T], where T bounds |A x| over the box, and
     maximizes -t. A value <= eps_lp certifies that 0 lies in A . box.
 
+    w = y[:m] + y[m:] adds the duals of the two rows of each i. For a positive
+    value, ||w||_1 = 1 and the least <w, A x> over the box,
+    sum_j min(lower_j (A^T w)_j, upper_j (A^T w)_j), equals the value, which
+    proves it by weak duality (Boyd & Vandenberghe, Convex Optimization, 5.1.6).
+
     A presolve answers two cases without building the program: no free
     column (lower == upper), and no row that can move (every |A_ij| times
     the bound of column j is 0). Both return ||A x0||_inf and x0, where x0
     takes each column's bound closer to 0 (Andersen & Andersen, "Presolving
-    in linear programming", Math. Programming 71, 1995).
+    in linear programming", Math. Programming 71, 1995), and
+    w = sign(r_i) e_i for the first i maximizing |r_i|, r = A x0.
     """
+    if eps_lp <= 0:
+        raise ValueError("eps_lp must be positive")
     lower = np.atleast_1d(np.asarray(lower, dtype=float))
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     a = np.asarray(eq_matrix, dtype=float)
@@ -238,12 +251,16 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     start_low = np.abs(lower) <= np.abs(upper)
     x0 = np.where(start_low, lower, upper).astype(float)
     if m == 0:
-        return 0.0, x0
+        return 0.0, x0, np.zeros(0)
     row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)
     t_cap = float(row_bound.max())
     if t_cap == 0.0 or np.array_equal(lower, upper):
         # x0 is the only feasible x, or every row is 0 on the whole box.
-        return float(np.abs(a @ x0).max()) + 0.0, x0
+        r = a @ x0
+        i = int(np.abs(r).argmax())
+        w = np.zeros(m)
+        w[i] = np.sign(r[i])
+        return float(abs(r[i])) + 0.0, x0, w
 
     # Variable layout: [x (k), t (1), p (m), q (m)].
     total = k + 1 + 2 * m
@@ -264,4 +281,5 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
         # The reformulation is feasible for every box, so this is numerics.
         raise NumericalFailureError(
             f"epigraph solve ended with status {res.status}: {res.reason}")
-    return max(-res.value, 0.0) + 0.0, res.solution[:k]  # + 0.0 normalizes -0.0
+    w = res.duals[:m] + res.duals[m:]
+    return max(-res.value, 0.0) + 0.0, res.solution[:k], w  # + 0.0 normalizes -0.0

@@ -152,30 +152,6 @@ class PointClassification:
     descent_direction: np.ndarray | None = None
 
 
-def _steepest_descent_lp(model, eps_lp):
-    """min df(u)(w) over the box ||w||_inf <= 1, negative iff u not stationary.
-
-    Each free-pair term |L_d(w)| is split as p_d - q_d with p, q >= 0, so the
-    LP maximizes -<c0, w> - sum(p + q); by separation the optimum is < 0
-    exactly when 0 lies outside the subdifferential.
-    """
-    n = model.dim
-    p = len(model.free_pairs)
-    m = model.pair_matrix()
-
-    # Rows: L_d(w) - p_d + q_d = 0, one per free pair, with L_d(w) = m[:, d]
-    # dot w; |L_d(w)| <= sum |m[:, d]| on the unit box.
-    a = np.hstack([m.T, -np.eye(p), np.eye(p)])
-    bound = np.abs(m).sum(axis=0)
-    lower = np.concatenate([-np.ones(n), np.zeros(2 * p)])
-    upper = np.concatenate([np.ones(n), bound, bound])
-    obj = np.concatenate([-model.fixed_vector(), -np.ones(2 * p)])
-    res = solve(BoxEqLP(lower, upper, a, np.zeros(p), obj), eps_lp)
-    if res.status != OPTIMAL:
-        raise NumericalFailureError(f"descent LP ended with status {res.status}: {res.reason}")
-    return -res.value, res.solution[:n]
-
-
 def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
                    eps_lp: float = EPS_LP) -> PointClassification:
     """Global minimum, spurious stationary point, or descent direction.
@@ -184,10 +160,11 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
     spurious point ships with an escape direction of negative curvature and
     every non-stationary point with a verified descent direction. The descent
     direction is the negated midpoint subgradient when that works; otherwise
-    the minimum-infinity-norm subdifferential element, and as a last resort
-    the direction minimizing df(u) over the unit box, which is negative by
-    separation whenever 0 is outside the subdifferential. All three are read
-    from one subdifferential model, whose support function checks them.
+    the negated minimum-infinity-norm subdifferential element, and as a last
+    resort -w, the dual certificate of that same min-norm solve, which
+    minimizes df(u) over the l1 ball and is negative whenever 0 is outside
+    the subdifferential. All three are read from one subdifferential model,
+    whose support function checks them.
     """
     u, ustar = _pair(u, ustar)
     verdict = is_stationary_closed_form(u, ustar, eps_zero)
@@ -214,11 +191,10 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
 
     d = descend_along(model.fixed_vector())  # the midpoint subgradient
     if d is None:
-        d = descend_along(min_norm_element(model, eps_lp)[2])
-    if d is None:
-        value, w = _steepest_descent_lp(model, eps_lp)
-        if value < -EPS_DIR:
-            d = w / float(np.linalg.norm(w))
+        _, _, element, w = min_norm_element(model, eps_lp)
+        d = descend_along(element)
+        if d is None:
+            d = descend_along(w)  # df(u)(-w) = -value
     if d is None:
         raise ArithmeticError("no certified descent direction at a point "
                               "the closed form labels non-stationary")

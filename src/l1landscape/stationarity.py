@@ -70,15 +70,18 @@ def is_stationary_closed_form(u, ustar, eps_zero: float = EPS_ZERO) -> Stationar
 
 
 def min_norm_element(model: SubdifferentialModel, eps_lp: float = EPS_LP):
-    """(value, free_values, element) for the least-infinity-norm S u.
+    """(value, free_values, element, w) for the least-infinity-norm S u.
 
     The constant fixed_vector() enters through a column pinned to 1, so the
     epigraph solver sees min ||A x||_inf over the free box; element is A x.
+    w is the solver's dual certificate: when value > 0, ||w||_1 = 1 and
+    model.support(-w) = -value, so -w is the steepest descent direction of f
+    over the l1 ball.
     """
     a = np.hstack([model.fixed_vector()[:, None], model.pair_matrix()])
     lower = np.concatenate([[1.0], -np.ones(len(model.free_pairs))])
-    value, point = feasibility_min_infinity_norm(lower, np.ones(lower.size), a, eps_lp)
-    return value, point[1:], a @ point
+    value, point, w = feasibility_min_infinity_norm(lower, np.ones(lower.size), a, eps_lp)
+    return value, point[1:], a @ point, w
 
 
 def is_stationary_lp(u, ustar, eps_zero: float = EPS_ZERO,
@@ -90,7 +93,7 @@ def is_stationary_lp(u, ustar, eps_zero: float = EPS_ZERO,
     """
     u, ustar = _pair(u, ustar)
     model = subdifferential_model(u, ustar, eps_zero)
-    value, free_values, _ = min_norm_element(model, eps_lp)
+    value, free_values, _, _ = min_norm_element(model, eps_lp)
     if value > eps_lp:
         return StationarityVerdict(False, NOT_STATIONARY, None, value)
     witness = model.assemble(np.clip(free_values, -1.0, 1.0))

@@ -78,6 +78,15 @@ def test_certify_rejects_malformed_vector(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["certify -u 0.5,0.2 -g 1,1",
+                                     "landscape -g 1,1 --nx 3 --ny 3"])
+def test_nonpositive_eps_lp_exits_one(capsys, command):
+    """Points whose LP is presolved still reject eps_lp <= 0."""
+    code, _, err = run_cli(capsys, *command.split(), "--eps-lp=-1")
+    assert code == 1
+    assert "eps_lp must be positive" in err
+
+
 def test_flow_svg_arrow_count(tmp_path, capsys):
     out = tmp_path / "field.svg"
     code, _, _ = run_cli(capsys, "flow", "-g", "1,1", "-o", str(out))

@@ -165,7 +165,7 @@ def test_midpoint_selection_lies_in_subdifferential(n, seed):
     cols = [np.asarray(model.fixed_vector() - g).reshape(-1, 1), m]
     lower = [1.0] + [-1.0] * m.shape[1]
     upper = [1.0] + [1.0] * m.shape[1]
-    value, _ = feasibility_min_infinity_norm(lower, upper, np.hstack(cols))
+    value, _, _ = feasibility_min_infinity_norm(lower, upper, np.hstack(cols))
     assert value <= 1e-9
 
 

@@ -107,7 +107,7 @@ def test_min_infinity_norm_examples():
 
 
 def test_min_infinity_norm_returns_attaining_point():
-    value, point = feasibility_min_infinity_norm(
+    value, point, _ = feasibility_min_infinity_norm(
         [2.0, -1.0], [3.0, 1.0], [[1.0, 0.0], [0.0, 1.0]]
     )
     assert abs(value - 2.0) <= 1e-9
@@ -124,6 +124,13 @@ def test_validation_errors():
         BoxEqLP([0.0], [np.inf], np.zeros((0, 1)), [], [1.0])
     with pytest.raises(ValueError):
         solve(BoxEqLP([-1.0], [1.0], np.zeros((0, 1)), [], [1.0]), eps_lp=0.0)
+    # Both presolve exits, all fixed and no movable row, return before any
+    # solve; they must still reject a nonpositive eps_lp.
+    for lower, upper, a in (([0.5, 0.2], [0.5, 0.2], [[1.0, 2.0]]),
+                            ([-1.0], [1.0], [[0.0]])):
+        for eps_lp in (0.0, -1.0):
+            with pytest.raises(ValueError, match="eps_lp must be positive"):
+                feasibility_min_infinity_norm(lower, upper, a, eps_lp)
 
 
 def random_instance(rng, feasible=True):
@@ -201,14 +208,42 @@ def test_min_infinity_norm_presolve_agrees_with_simplex(monkeypatch):
         a[rng.random(m) < 0.2] = 0.0  # some zero rows
         lower = [-rng.uniform(0.1, 2.0, k), np.zeros(k),
                  rng.uniform(-2.0, 2.0, k)][trial % 3]
-        value, x = feasibility_min_infinity_norm(lower, lower, a)
+        value, x, _ = feasibility_min_infinity_norm(lower, lower, a)
         assert not calls
         assert value == np.abs(a @ lower).max()
         np.testing.assert_array_equal(x, lower)
 
         freed = np.hstack([a, np.zeros((m, 1))])
         lo, hi = np.append(lower, -1.0), np.append(lower, 1.0)
-        simplex_value, _ = feasibility_min_infinity_norm(lo, hi, freed)
+        simplex_value, _, _ = feasibility_min_infinity_norm(lo, hi, freed)
         assert len(calls) == (value > 0.0)
         calls.clear()
         assert abs(simplex_value - value) <= 1e-12
+
+
+def test_min_infinity_norm_dual_certificate():
+    """w proves the value: ||w||_1 = 1 and the least <w, A x> over the box,
+    sum_j min(lo_j (A^T w)_j, hi_j (A^T w)_j), equals it (weak duality), on
+    both the presolve and the simplex path."""
+    rng = np.random.default_rng(9)
+    checked = 0
+    for trial in range(200):
+        m, k = int(rng.integers(1, 13)), int(rng.integers(1, 9))
+        a = rng.standard_normal((m, k))
+        a[rng.random(m) < 0.2] = 0.0  # some zero rows
+        lo = rng.uniform(-2.0, 1.0, k)
+        width = rng.uniform(0.0, 2.0, k)
+        width[rng.random(k) < 0.3] = 0.0  # some fixed columns
+        if trial % 4 == 0:
+            width[:] = 0.0  # an all-fixed box
+        hi = lo + width
+        value, _, w = feasibility_min_infinity_norm(lo, hi, a)
+        assert w.shape == (m,)
+        if value <= lpcore.EPS_LP:
+            continue
+        checked += 1
+        assert abs(np.abs(w).sum() - 1.0) <= 1e-12
+        g = a.T @ w
+        bound = np.minimum(lo * g, hi * g).sum()
+        assert abs(bound - value) <= 1e-9 * value
+    assert checked >= 150

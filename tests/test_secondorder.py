@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l1landscape import secondorder, stationarity
+from l1landscape import lpcore, secondorder, stationarity
 from l1landscape.core import (
     SubdifferentialModel,
     residual_pattern,
@@ -38,7 +38,7 @@ def random_spurious(rng, n):
 
 def solve_face_member(model):
     """A feasible matrix in the face, from the min-norm witness program."""
-    value, free_values, _ = min_norm_element(model)
+    value, free_values, _, _ = min_norm_element(model)
     assert value <= 1e-9
     return model.assemble(np.clip(free_values, -1.0, 1.0))
 
@@ -193,7 +193,7 @@ def test_classify_point_examples():
 
 # A box-face point where -midpoint does not descend and the min-norm element
 # does (the FALLBACK input of the CLI tests), and one where neither does, so
-# the steepest-descent LP decides.
+# the steepest-descent direction read from the min-norm LP's duals decides.
 MIN_NORM_POINT = (np.array([-0.7278215444386658, 0.344234196431766, -0.30043137049255364]),
                   np.array([-0.7278215444386658, -1.2948348672230032, 0.30043137049255364]))
 STEEPEST_LP_POINT = (np.array([0.31, 0.52]), np.array([-0.44, 0.52]))
@@ -201,12 +201,12 @@ STEEPEST_LP_POINT = (np.array([0.31, 0.52]), np.array([-0.44, 0.52]))
 
 def test_classify_point_min_norm_fallback():
     """At this box-face point -midpoint does not descend; the min-norm element
-    does, so it decides the direction before the steepest-descent LP."""
+    does, so it decides the direction before the min-norm LP's duals."""
     u, ustar = MIN_NORM_POINT
     g = subgradient_select(u, ustar)
     assert directional_derivative(u, ustar, -g / np.linalg.norm(g)) >= -EPS_DIR
 
-    _, _, element = min_norm_element(subdifferential_model(u, ustar))
+    _, _, element, _ = min_norm_element(subdifferential_model(u, ustar))
     res = classify_point(u, ustar)
     assert res.kind == NOT_STATIONARY
     np.testing.assert_array_equal(res.descent_direction,
@@ -214,12 +214,13 @@ def test_classify_point_min_norm_fallback():
     assert directional_derivative(u, ustar, res.descent_direction) < -EPS_DIR
 
 
-@pytest.mark.parametrize("point, steepest_calls", [(MIN_NORM_POINT, 0), (STEEPEST_LP_POINT, 1)])
-def test_classify_point_builds_one_model(monkeypatch, point, steepest_calls):
-    """Every candidate direction, the min-norm element and the steepest-descent
-    LP are read from a single subdifferential model. Both points reach the
-    min-norm element through one feasibility_min_infinity_norm call, the call
-    perfbench's tracer counts as a fallback."""
+@pytest.mark.parametrize("point", [MIN_NORM_POINT, STEEPEST_LP_POINT])
+def test_classify_point_builds_one_model(monkeypatch, point):
+    """Every candidate direction, the min-norm element and the steepest
+    descent direction are read from a single subdifferential model and one
+    LP solve. Both points reach the min-norm element through one
+    feasibility_min_infinity_norm call, the call perfbench's tracer counts as
+    a fallback; at the second the direction comes from that solve's duals."""
     models = []
     init = SubdifferentialModel.__init__
 
@@ -227,12 +228,12 @@ def test_classify_point_builds_one_model(monkeypatch, point, steepest_calls):
         models.append(self)
         init(self, *args)
 
-    steepest = []
-    lp = secondorder._steepest_descent_lp
+    solves = []
+    simplex = lpcore.solve
 
-    def counting_lp(*args):
-        steepest.append(args)
-        return lp(*args)
+    def counting_solve(*args):
+        solves.append(args)
+        return simplex(*args)
 
     min_norm = []
     fmin = stationarity.feasibility_min_infinity_norm
@@ -242,14 +243,46 @@ def test_classify_point_builds_one_model(monkeypatch, point, steepest_calls):
         return fmin(*args)
 
     monkeypatch.setattr(SubdifferentialModel, "__init__", counting_init)
-    monkeypatch.setattr(secondorder, "_steepest_descent_lp", counting_lp)
+    monkeypatch.setattr(lpcore, "solve", counting_solve)
+    monkeypatch.setattr(secondorder, "solve", counting_solve)
     monkeypatch.setattr(stationarity, "feasibility_min_infinity_norm", counting_fmin)
     res = classify_point(*point)
     assert res.kind == NOT_STATIONARY
     assert len(models) == 1
-    assert len(steepest) == steepest_calls
+    assert len(solves) == 1
     assert len(min_norm) == 1
     assert directional_derivative(*point, res.descent_direction) < -EPS_DIR
+
+
+def dual_route_point():
+    """Draw 92 of a seeded box-face stream: n = 40, 39 coordinates at
+    +-|ustar_i|, 420 free pairs. Neither the midpoint nor the min-norm element
+    descends there, and a separately formulated descent LP met a singular
+    basis in phase 2."""
+    rng = np.random.default_rng(1)
+    for i in range(93):
+        n = (10, 20, 40)[i % 3]
+        u = rng.standard_normal(n)
+        ustar = rng.standard_normal(n)
+        face = rng.random(n) < 0.9
+        u[face] = rng.choice([-1, 1], size=int(face.sum())) * np.abs(ustar[face])
+    return u, ustar
+
+
+def test_classify_point_descends_along_the_min_norm_duals():
+    u, ustar = dual_route_point()
+    model = subdifferential_model(u, ustar)
+    assert len(model.free_pairs) == 420
+    value, _, element, w = min_norm_element(model)
+    for g in (model.fixed_vector(), element):
+        assert model.support(-g / np.linalg.norm(g)) >= -EPS_DIR
+
+    res = classify_point(u, ustar)
+    assert res.kind == NOT_STATIONARY
+    assert model.support(res.descent_direction) < -EPS_DIR
+    np.testing.assert_array_equal(res.descent_direction, -w / np.linalg.norm(w))
+    assert abs(np.abs(w).sum() - 1.0) <= 1e-12
+    assert model.support(-w) == pytest.approx(-value, rel=1e-9)
 
 
 @pytest.mark.parametrize("point, kind", [
