@@ -60,15 +60,39 @@ def sign_scalar(x: float, eps: float = 0.0) -> int:
     return 0
 
 
+def _points(u, ustar) -> tuple[np.ndarray, np.ndarray]:
+    """_pair for one point u (n,) or a stack of points (K, n)."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 2:
+        return _pair(u, ustar)
+    ustar = as_vector(ustar)
+    if u.shape[0] < 1 or u.shape[1] != ustar.size:
+        raise ValueError(f"expected a stack of shape (K, {ustar.size}), got {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("vector entries must be finite")
+    return u, ustar
+
+
 def residual(u, ustar) -> np.ndarray:
-    """The symmetric residual matrix u u^T - ustar ustar^T."""
-    u, ustar = _pair(u, ustar)
-    return np.outer(u, u) - np.outer(ustar, ustar)
+    """The symmetric residual matrix u u^T - ustar ustar^T.
+
+    u is one point (n,), giving (n, n), or a stack (K, n), giving (K, n, n).
+    """
+    u, ustar = _points(u, ustar)
+    r = u[..., :, None] * u[..., None, :]
+    r -= np.outer(ustar, ustar)
+    return r
 
 
-def objective(u, ustar) -> float:
-    """f(u) = 0.5 * sum_ij |(u u^T - ustar ustar^T)_ij|."""
-    return 0.5 * float(np.abs(residual(u, ustar)).sum())
+def objective(u, ustar):
+    """f(u) = 0.5 * sum_ij |(u u^T - ustar ustar^T)_ij|.
+
+    u is one point (n,), giving a float, or a stack (K, n), giving a (K,)
+    array whose entries have the bits of the single-point calls.
+    """
+    r = residual(u, ustar)
+    f = 0.5 * np.abs(r, out=r).sum(axis=(-2, -1))
+    return float(f) if r.ndim == 2 else f
 
 
 def residual_pattern(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:

@@ -32,6 +32,10 @@ DEFAULT_MAX_ITERS = 20_000
 DEFAULT_TAU_SUCC = 1e-2
 DEFAULT_TAU_TRAP = 1e-3
 
+# Rows per buffer in which run_subgradient records its iterates and then
+# computes their diagnostics.
+BLOCK_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class StepSchedule:
@@ -115,37 +119,49 @@ def run_subgradient(u0, ustar, schedule: StepSchedule,
     a g against the subdifferential, that is the caller's contract). Stops
     early when the distance to {+-ustar} drops to stop_tol or the selected
     subgradient vanishes; the final row records step 0.
+
+    The loop only selects g, steps, runs the stopping test and writes the
+    iterate into (BLOCK_ROWS, n) buffers, one more each time the last fills,
+    so memory follows the run's length K, not max_iters. f and the distance
+    to the spurious set are computed after the loop, one call each per
+    buffer of the (K, n) stack of iterates; every column has the bits of
+    the single-point functions.
     """
     u, ustar = _pair(u0, ustar)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    rows = []
-
-    def record(k, u, dist_gt, step):
-        rows.append((k, u.copy(), objective(u, ustar), dist_gt,
-                     _spurious_distance(u, ustar), step))
-
-    for k in range(1, max_iters + 1):
-        dist_gt = distance_to_ground_truths(u, ustar)
-        if dist_gt <= stop_tol:
-            record(k - 1, u, dist_gt, 0.0)
+    n = u.size
+    blocks = []
+    dist_gt, steps = [], []
+    row = k = 0
+    while True:
+        # distance_to_ground_truths's bits: each norm is the sqrt of one ddot
+        a, b = u - ustar, u + ustar
+        dist = min(math.sqrt(a.dot(a)), math.sqrt(b.dot(b)))
+        if row % BLOCK_ROWS == 0:
+            blocks.append(np.empty((BLOCK_ROWS, n)))
+        blocks[-1][row % BLOCK_ROWS] = u
+        row += 1
+        dist_gt.append(dist)
+        if dist <= stop_tol or k == max_iters:
             break
+        k += 1
         if selection is None:
             g = midpoint_subgradient(u, ustar)
         else:
-            g = _sized_vector(selection(u, k), u.size, "selection(u, k)")
-        if np.abs(g).max() == 0.0:
-            record(k - 1, u, dist_gt, 0.0)
+            g = _sized_vector(selection(u, k), n, "selection(u, k)")
+        if not g.any():
             break
         alpha = schedule.step(k)
-        record(k - 1, u, dist_gt, alpha)
+        steps.append(alpha)
         u = u - alpha * g
-    else:
-        record(max_iters, u, distance_to_ground_truths(u, ustar), 0.0)
+    steps.append(0.0)
 
-    its, pts, vals, dgt, dsp, steps = zip(*rows)
-    return Trajectory(np.array(its), np.array(pts), np.array(vals),
-                      np.array(dgt), np.array(dsp), np.array(steps))
+    blocks[-1] = blocks[-1][:(row - 1) % BLOCK_ROWS + 1]
+    values = np.concatenate([objective(block, ustar) for block in blocks])
+    dist_sp = np.concatenate([_spurious_distance(block, ustar) for block in blocks])
+    return Trajectory(np.arange(row), np.concatenate(blocks), values,
+                      np.array(dist_gt), dist_sp, np.array(steps))
 
 
 def write_trajectory_csv(trajectory: Trajectory, fileobj) -> None:
@@ -247,17 +263,10 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
             finals[t] = run_subgradient(finals[t], ustar, schedule, max_iters,
                                         stop_tol=0.0, selection=selection).final_point
 
-    dist_gt = np.array([distance_to_ground_truths(u, ustar) for u in finals])
-    dist_sp = np.array([_spurious_distance(u, ustar) for u in finals])
-    labels = []
-    for t in range(trials):
-        if dist_gt[t] <= tau_succ:
-            labels.append(SUCCESS)
-        elif dist_sp[t] <= tau_trap:
-            labels.append(TRAPPED)
-        else:
-            labels.append(UNDECIDED)
-    labels = tuple(labels)
+    dist_gt = distance_to_ground_truths(finals, ustar)
+    dist_sp = _spurious_distance(finals, ustar)
+    labels = tuple(SUCCESS if dg <= tau_succ else TRAPPED if ds <= tau_trap else UNDECIDED
+                   for dg, ds in zip(dist_gt, dist_sp))
     return ConjectureReport(
         trials=trials,
         successes=labels.count(SUCCESS),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_ZERO, SubdifferentialModel, _pair, as_vector, subdifferential_model
+from .core import EPS_ZERO, SubdifferentialModel, _pair, _points, subdifferential_model
 from .lpcore import EPS_LP, feasibility_min_infinity_norm
 
 GROUND_TRUTH_PLUS = "ground_truth_plus"
@@ -100,6 +100,25 @@ def is_stationary_lp(u, ustar, eps_zero: float = EPS_ZERO,
     return StationarityVerdict(True, _stationary_kind(u, ustar, eps_zero), witness, value)
 
 
+def _row_dots(a, b) -> np.ndarray:
+    """a_k . b_k for each row k of two (K, n) stacks.
+
+    Each product is one BLAS ddot, the kernel behind np.linalg.norm and a
+    1-D @, so a row gets the bits of the single-vector call; an elementwise
+    (a * b).sum(axis=1) does not, because ddot accumulates with FMA.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x) -> np.ndarray:
+    return np.sqrt(_row_dots(x, x))
+
+
+def _as_given(values, ndim: int):
+    """A (K,) result as a float for a single-point call (ndim 1)."""
+    return float(values[0]) if ndim == 1 else values
+
+
 def project_to_spurious_set(y, ustar):
     """Euclidean projection onto the spurious polytope, with its distance.
 
@@ -110,42 +129,67 @@ def project_to_spurious_set(y, ustar):
     binary search over the sorted breakpoints brackets its root between two
     neighbours, and lam solves the linear piece on the coordinates left
     unclipped there (Kiwiel, Math. Programming 112, 2008).
+
+    y is one point (n,), giving (u (n,), distance float), or a stack (K, n),
+    giving (u (K, n), distances (K,)). A stack sorts its breakpoints per row
+    and runs the binary searches in lockstep, one bracket per row; a single
+    point is the one-row stack.
     """
-    y, ustar = _pair(y, ustar)
+    y, ustar = _points(y, ustar)
     if np.abs(ustar).max() == 0.0:
         raise ValueError("ustar must be nonzero")
+    ys = y.reshape(-1, ustar.size)
     s = np.sign(ustar)
     cap = np.abs(ustar)
     on = s != 0
-    z, c = s[on] * y[on], cap[on]
-    breaks = np.sort(np.concatenate([z - c, z + c]))
-    lo, hi = 0, breaks.size - 1  # the plane value is > 0 at breaks[0], < 0 at breaks[-1]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if np.clip(z - breaks[mid], -c, c).sum() > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (breaks[lo] + breaks[hi])
-    u = np.clip(y - lam * s, -cap, cap)
-    free = on & (np.abs(y - lam * s) < cap)
-    # free is empty only where the root is a flat piece, which u already meets.
-    if free.any():
-        lam = (float(s[free] @ y[free]) + float(s[~free] @ u[~free])) / int(free.sum())
-        u = np.clip(y - lam * s, -cap, cap)
-    return u, float(np.linalg.norm(y - u))
+    z, c = ys[:, on] * s[on], cap[on]
+    breaks = np.sort(np.concatenate([z - c, z + c], axis=1), axis=1)
+    rows = np.arange(len(ys))
+    # the plane value is > 0 at breaks[:, 0], < 0 at breaks[:, -1]
+    lo = np.zeros(len(ys), dtype=np.intp)
+    hi = np.full(len(ys), breaks.shape[1] - 1)
+    open_rows = rows[hi - lo > 1]
+    while open_rows.size:
+        mid = (lo[open_rows] + hi[open_rows]) // 2
+        above = np.clip(z[open_rows] - breaks[open_rows, mid][:, None], -c, c).sum(axis=1) > 0.0
+        lo[open_rows[above]] = mid[above]
+        hi[open_rows[~above]] = mid[~above]
+        open_rows = open_rows[hi[open_rows] - lo[open_rows] > 1]
+    lam = 0.5 * (breaks[rows, lo] + breaks[rows, hi])
+    shifted = ys - lam[:, None] * s
+    u = np.clip(shifted, -cap, cap)
+    free = on & (np.abs(shifted) < cap)
+    # A row with no free coordinate has its root on a flat piece, which u
+    # already meets. The others solve the piece with masked dot products:
+    # s[free] . y[free] + s[~free] . u[~free] over the unclipped count. The
+    # zeros add nothing, but from n = 16 on they move the other entries
+    # between ddot's SIMD accumulators, so the last bit of lam can differ
+    # from that of a dot over the compacted entries.
+    solve = rows[free.any(axis=1)]
+    if solve.size:
+        mask = free[solve]
+        lam_free = (_row_dots(np.where(mask, s, 0.0), ys[solve])
+                    + _row_dots(np.where(mask, 0.0, s), u[solve])) / mask.sum(axis=1)
+        u[solve] = np.clip(ys[solve] - lam_free[:, None] * s, -cap, cap)
+    dist = _row_norms(ys - u)
+    return (u[0], float(dist[0])) if y.ndim == 1 else (u, dist)
 
 
-def distance_to_ground_truths(u, ustar) -> float:
-    u, ustar = _pair(u, ustar)
-    return float(min(np.linalg.norm(u - ustar), np.linalg.norm(u + ustar)))
+def distance_to_ground_truths(u, ustar):
+    """min(||u - ustar||, ||u + ustar||) for one point (n,), as a float, or
+    for each row of a stack (K, n), as a (K,) array."""
+    u, ustar = _points(u, ustar)
+    rows = u.reshape(-1, ustar.size)
+    dist = np.minimum(_row_norms(rows - ustar), _row_norms(rows + ustar))
+    return _as_given(dist, u.ndim)
 
 
-def _spurious_distance(u, ustar) -> float:
-    """Distance to the spurious set ({0} when ustar = 0) for arrays the
-    caller has validated; the subgradient runs call it on every iterate."""
+def _spurious_distance(u, ustar):
+    """Distance to the spurious set ({0} when ustar = 0) of one point (n,),
+    as a float, or of each row of a stack (K, n), as a (K,) array, for
+    arrays the caller has validated."""
     if np.abs(ustar).max() == 0.0:
-        return float(np.linalg.norm(u))
+        return _as_given(_row_norms(u.reshape(-1, ustar.size)), u.ndim)
     return project_to_spurious_set(u, ustar)[1]
 
 

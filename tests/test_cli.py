@@ -49,6 +49,19 @@ def test_certify_spurious_point(capsys):
     assert cls["escape_direction"] == pytest.approx([2.0, 0.0])
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the escape curvature check is an absolute 1e-9 "
+                          "beside the EPS_ZERO band (scale-covariant tolerances)")
+def test_certify_origin_with_a_tiny_ground_truth_coordinate(capsys):
+    # ustar_2^2 = 6.25e-10 lies in the EPS_ZERO band, so the curvature LP drops
+    # that diagonal term and misses -||ustar||_1^2 by 2 ustar_2^2 = 1.25e-9,
+    # past the absolute 1e-9 check: exit 2, "curvature ... disagrees"
+    code, out, err = run_cli(capsys, "certify", "-u", "0,0", "-g", "1,2.5e-5")
+    assert "disagrees" not in err
+    assert code == 0
+    assert json.loads(out)["classification"]["kind"] == "spurious_stationary"
+
+
 def test_certify_ground_truth(capsys):
     code, payload = run_json(capsys, "certify", "-u", "1,1", "-g", "1,1")
     assert code == 0
@@ -126,6 +139,15 @@ def test_descend_csv_header_and_reproducibility(capsys):
 
 def test_descend_explicit_start(capsys):
     code, out, _ = run_cli(capsys, "descend", "-g", "1,1", "-u0", "1,1")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 2
+
+
+def test_descend_memory_follows_the_run_not_max_iters(capsys):
+    # the start is the ground truth, so the run is one row; a buffer of
+    # max_iters + 1 rows would not fit in memory
+    code, out, _ = run_cli(capsys, "descend", "-g", "1,1", "-u0", "1,1",
+                           "--max-iters", "1000000000")
     assert code == 0
     assert len(out.strip().split("\n")) == 2
 

@@ -103,6 +103,22 @@ def test_finite_difference_slope_shrinks_to_directional_value():
         assert abs(s) <= 4.1 * t
 
 
+def test_objective_of_a_stack_has_the_bits_of_single_points():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 10, 40):
+        ustar = rng.standard_normal(n)
+        u = rng.standard_normal((7, n))
+        values = objective(u, ustar)
+        assert values.shape == (7,)
+        for k in range(7):
+            single = objective(u[k], ustar)
+            assert isinstance(single, float)
+            assert values[k] == single
+    for bad in (np.ones((2, 3)), np.ones((0, 2)), [[1.0, np.nan]]):
+        with pytest.raises(ValueError):
+            objective(bad, [1.0, 1.0])
+
+
 def test_as_vector_rejects_bad_input():
     with pytest.raises(ValueError):
         as_vector([[1.0, 2.0]])

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from l1landscape.core import subgradient_select
+from l1landscape import dynamics, stationarity
+from l1landscape.core import objective, subgradient_select
 from l1landscape.dynamics import (
+    BLOCK_ROWS,
     GEOMETRIC,
     INV_K,
     INV_SQRT_K,
@@ -22,7 +24,7 @@ from l1landscape.dynamics import (
 )
 from l1landscape.lpcore import feasibility_min_infinity_norm
 from l1landscape.core import subdifferential_model
-from l1landscape.stationarity import distance_to_ground_truths
+from l1landscape.stationarity import distance_to_ground_truths, project_to_spurious_set
 
 
 def in_subdifferential(g, u, ustar, tol=1e-8):
@@ -115,6 +117,89 @@ def test_run_is_deterministic():
     b = run_subgradient([1.7, 0.4], [1.0, 1.0], StepSchedule(INV_SQRT_K, 0.1), max_iters=100)
     np.testing.assert_array_equal(a.points, b.points)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def reference_run(u0, ustar, schedule, max_iters, stop_tol):
+    """run_subgradient's columns, one iterate at a time, from the public
+    single-point functions."""
+    u = np.asarray(u0, dtype=float)
+    points, dist_gt, steps = [], [], []
+    for k in range(1, max_iters + 1):
+        points.append(u)
+        dist_gt.append(distance_to_ground_truths(u, ustar))
+        if dist_gt[-1] <= stop_tol:
+            break
+        g = subgradient_select(u, ustar)
+        if np.abs(g).max() == 0.0:
+            break
+        steps.append(schedule.step(k))
+        u = u - steps[-1] * g
+    else:
+        points.append(u)
+        dist_gt.append(distance_to_ground_truths(u, ustar))
+    steps.append(0.0)
+    values = [objective(p, ustar) for p in points]
+    if np.any(ustar):
+        dist_sp = [project_to_spurious_set(p, ustar)[1] for p in points]
+    else:
+        dist_sp = [float(np.linalg.norm(p)) for p in points]
+    return np.array(points), values, dist_gt, dist_sp, steps
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 20, 40])
+def test_run_matches_a_per_iterate_reference(n):
+    """Every column has the reference's bits, across block boundaries.
+
+    dist_spurious at n >= 16 is held to 2e-15 relative instead: there its
+    dot products reach ddot's SIMD blocks, and a BLAS may split those by
+    memory alignment, which differs between a stack row and a lone vector.
+    """
+    schedule = StepSchedule(INV_SQRT_K, 0.1)
+    for seed, stop_tol in ((0, 0.0), (1, 1e-2), (2, 0.0)):
+        rng = np.random.default_rng([seed, n])
+        ustar = rng.standard_normal(n) if seed < 2 else np.zeros(n)
+        u0 = rng.standard_normal(n)
+        traj = run_subgradient(u0, ustar, schedule, BLOCK_ROWS + 300, stop_tol)
+        points, values, dist_gt, dist_sp, steps = reference_run(
+            u0, ustar, schedule, BLOCK_ROWS + 300, stop_tol)
+        np.testing.assert_array_equal(traj.iters, np.arange(len(points)))
+        np.testing.assert_array_equal(traj.points, points)
+        np.testing.assert_array_equal(traj.values, values)
+        np.testing.assert_array_equal(traj.dist_ground_truth, dist_gt)
+        np.testing.assert_array_equal(traj.steps, steps)
+        if n <= 10:
+            np.testing.assert_array_equal(traj.dist_spurious, dist_sp)
+        else:
+            np.testing.assert_allclose(traj.dist_spurious, dist_sp, rtol=2e-15, atol=0.0)
+
+
+def test_diagnostics_are_computed_per_block_not_per_iterate(monkeypatch):
+    calls = {"objective": 0, "project": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "objective", counting("objective", dynamics.objective))
+    monkeypatch.setattr(stationarity, "project_to_spurious_set",
+                        counting("project", stationarity.project_to_spurious_set))
+    rng = np.random.default_rng(4)
+    traj = run_subgradient(rng.standard_normal(10), rng.standard_normal(10),
+                           StepSchedule(INV_SQRT_K, 0.1), 20_000, stop_tol=0.0)
+    assert len(traj) == 20_001
+    blocks = math.ceil(len(traj) / BLOCK_ROWS)
+    assert calls == {"objective": blocks, "project": blocks}
+
+
+def test_memory_follows_the_run_not_max_iters():
+    # a start at the ground truth stops at once; a (max_iters + 1, n) buffer
+    # would not fit in memory
+    traj = run_subgradient([1.0, -2.0], [1.0, -2.0], StepSchedule(INV_K, 0.1),
+                           max_iters=10**12)
+    assert len(traj) == 1
+    assert traj.points.shape == (1, 2)
 
 
 def test_trajectory_csv_format():

@@ -187,6 +187,71 @@ def test_projection_rejects_zero_ground_truth():
         project_to_spurious_set([1.0, 1.0], [0.0, 0.0])
 
 
+def bisection_projection(y, ustar):
+    """Reference projection: bisect on lam for the plane value itself."""
+    s, cap = np.sign(ustar), np.abs(ustar)
+    z = s * y
+
+    def plane(lam):
+        return float(np.clip(z - lam, -cap, cap)[s != 0].sum())
+
+    lo, hi = float((z - cap).min()) - 1.0, float((z + cap).max()) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if plane(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    u = np.clip(y - 0.5 * (lo + hi) * s, -cap, cap)
+    return u, float(np.linalg.norm(y - u))
+
+
+def test_stacked_projection_rows_match_single_points_and_a_bisection():
+    rng = np.random.default_rng(31)
+    for n in range(1, 81):
+        ustar = rng.standard_normal(n)
+        ustar[rng.random(n) < 0.2] = 0.0          # forced coordinates u_i = 0
+        if not ustar.any():
+            ustar[0] = 1.0
+        y = rng.standard_normal((6, n)) * 2.0
+        # points already in the set, inside the box and on its faces
+        y[4] = bisection_projection(y[0], ustar)[0]
+        y[5] = bisection_projection(10.0 * y[1], ustar)[0]
+        p, d = project_to_spurious_set(y, ustar)
+        assert p.shape == (6, n) and d.shape == (6,)
+        for k in range(6):
+            pk, dk = project_to_spurious_set(y[k], ustar)
+            assert isinstance(dk, float)
+            np.testing.assert_array_equal(p[k], pk)
+            assert d[k] == dk
+            ref_p, ref_d = bisection_projection(y[k], ustar)
+            np.testing.assert_allclose(pk, ref_p, rtol=0.0, atol=1e-12)
+            assert abs(dk - ref_d) <= 1e-12
+        np.testing.assert_allclose(d[4:], 0.0, rtol=0.0, atol=1e-12)
+
+
+def test_stacked_distances_match_single_points():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 10, 40):
+        ustar = rng.standard_normal(n)
+        u = rng.standard_normal((5, n))
+        dist = distance_to_ground_truths(u, ustar)
+        assert dist.shape == (5,)
+        for k in range(5):
+            assert dist[k] == distance_to_ground_truths(u[k], ustar)
+        zero = stationarity._spurious_distance(u, np.zeros(n))
+        np.testing.assert_array_equal(zero, [np.linalg.norm(x) for x in u])
+
+
+def test_stacked_projection_validates_its_input():
+    for bad in (np.ones((2, 3)), np.ones((0, 2)), np.ones((2, 2, 2)),
+                [[1.0, np.inf], [0.0, 0.0]]):
+        with pytest.raises(ValueError):
+            project_to_spurious_set(bad, [1.0, 1.0])
+    with pytest.raises(ValueError):
+        project_to_spurious_set(np.ones((3, 2)), [0.0, 0.0])
+
+
 def test_zero_ground_truth_corner():
     for cert in BOTH:
         assert cert([0.0, 0.0], [0.0, 0.0]).kind == SPURIOUS
