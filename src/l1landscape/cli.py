@@ -2,8 +2,15 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 internal
 consistency failure (the two stationarity certifiers disagree), 3 numerical
-failure inside the LP machinery. Configuration precedence is CLI flag over
---config JSON over built-in default.
+failure inside the LP machinery.
+
+Each invocation builds one options map: a flag that was set wins over the
+same key in the --config JSON object, and a JSON null counts as unset. An
+option left unset is not passed on, so the library function applies its own
+default (GridSpec's grid, conjecture_probe's trial count, the certifiers'
+eps_zero and eps_lp, which certify and landscape accept as --eps-zero and
+--eps-lp). Defaults are set here only where the library has none or the
+output echoes the value.
 """
 
 from __future__ import annotations
@@ -17,14 +24,8 @@ import sys
 
 import numpy as np
 
-from .core import EPS_ZERO
 from .dynamics import (
-    DEFAULT_MAX_ITERS,
-    DEFAULT_TAU_SUCC,
-    DEFAULT_TAU_TRAP,
-    GEOMETRIC,
-    INV_K,
-    INV_SQRT_K,
+    DEFAULT_SCHEDULE,
     GridSpec,
     StepSchedule,
     conjecture_probe,
@@ -33,7 +34,7 @@ from .dynamics import (
     write_trajectory_csv,
 )
 from .firstorder import growth_check
-from .lpcore import EPS_LP, NumericalFailureError
+from .lpcore import NumericalFailureError
 from .secondorder import classify_point
 from .stationarity import (
     expected_gaussian_separation,
@@ -42,9 +43,8 @@ from .stationarity import (
     is_stationary_lp,
 )
 from .tilting import (
-    ESCAPE_THRESHOLD,
-    EX41,
     EX42,
+    SCALAR_FNS,
     certify_sharp_local_min_1d,
     certify_sharp_local_min_tilted_f,
     tilt_divergence_probe_ex41,
@@ -78,45 +78,44 @@ def parse_vector(text) -> np.ndarray:
 
 def parse_schedule(text) -> StepSchedule:
     """kind:c or geometric:c:q, e.g. inv_sqrt_k:0.1 (dashes in kind ok)."""
-    if isinstance(text, StepSchedule):
-        return text
     parts = str(text).split(":")
-    kind = parts[0].replace("-", "_").lower()
-    if kind not in (INV_K, INV_SQRT_K, GEOMETRIC):
-        raise ValueError(f"unknown schedule kind {parts[0]!r}")
     if len(parts) < 2:
         raise ValueError("schedule needs a constant, e.g. inv_sqrt_k:0.1")
-    c = float(parts[1])
     q = float(parts[2]) if len(parts) > 2 else None
-    return StepSchedule(kind, c, q)
+    return StepSchedule(parts[0].replace("-", "_").lower(), float(parts[1]), q)
 
 
-class Settings:
-    """Flag / config-file / default resolution for one invocation."""
+def _options(args) -> dict:
+    """The --config object overlaid with the flags that were set; a JSON
+    null, like an unset flag, leaves the key out."""
+    config = {}
+    if args.config:
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
+    return {key: value for layer in (config, vars(args))
+            for key, value in layer.items() if value is not None}
 
-    def __init__(self, args):
-        self.args = args
-        self.config = {}
-        path = getattr(args, "config", None)
-        if path:
-            with open(path) as fh:
-                self.config = json.load(fh)
-            if not isinstance(self.config, dict):
-                raise ValueError("config file must hold a JSON object")
 
-    def get(self, key, default=None):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
-        if key in self.config:
-            return self.config[key]
-        return default
+def _convert(opts: dict, key: str, converter):
+    try:
+        return converter(opts[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad value for parameter {key.replace('_', '-')!r}: {exc}") from None
 
-    def require(self, key):
-        value = self.get(key)
-        if value is None:
-            raise ValueError(f"missing required parameter {key.replace('_', '-')!r}")
-        return value
+
+def _require(opts: dict, key: str, converter):
+    if key not in opts:
+        raise ValueError(f"missing required parameter {key.replace('_', '-')!r}")
+    return _convert(opts, key, converter)
+
+
+def _given(opts: dict, **converters) -> dict:
+    """The options among converters' keys that are set, converted, as
+    keyword arguments; the callee's defaults cover the rest."""
+    return {key: _convert(opts, key, converter)
+            for key, converter in converters.items() if key in opts}
 
 
 def _emit(text: str, out_path) -> None:
@@ -147,16 +146,22 @@ def _vec(u) -> list:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_certify(settings: Settings) -> int:
-    u = parse_vector(settings.require("point"))
-    g = parse_vector(settings.require("ground_truth"))
-    eps_zero = float(settings.get("eps_zero", EPS_ZERO))
-    eps_lp = float(settings.get("eps_lp", EPS_LP))
+def _tolerances(opts: dict) -> tuple[dict, dict]:
+    """The given tolerances as keyword arguments: eps_zero for the closed
+    form, eps_zero and eps_lp for the LP certifier and the classifier."""
+    zero = _given(opts, eps_zero=float)
+    return zero, {**zero, **_given(opts, eps_lp=float)}
 
-    cf = is_stationary_closed_form(u, g, eps_zero)
-    lp = is_stationary_lp(u, g, eps_zero, eps_lp)
+
+def cmd_certify(opts: dict) -> int:
+    u = _require(opts, "point", parse_vector)
+    g = _require(opts, "ground_truth", parse_vector)
+    zero, eps = _tolerances(opts)
+
+    cf = is_stationary_closed_form(u, g, **zero)
+    lp = is_stationary_lp(u, g, **eps)
     agree = _certifiers_agree(cf, lp)
-    cls = classify_point(u, g, eps_zero, eps_lp)
+    cls = classify_point(u, g, **eps)
 
     payload = {
         "point": _vec(u),
@@ -173,19 +178,13 @@ def cmd_certify(settings: Settings) -> int:
                                  else _vec(cls.descent_direction),
         },
     }
-    _emit_json(payload, settings.get("out"))
+    _emit_json(payload, opts.get("out"))
     return 0 if agree else 2
 
 
-def _grid_from(settings: Settings) -> GridSpec:
-    return GridSpec(
-        xmin=float(settings.get("xmin", -2.0)),
-        xmax=float(settings.get("xmax", 2.0)),
-        ymin=float(settings.get("ymin", -2.0)),
-        ymax=float(settings.get("ymax", 2.0)),
-        nx=int(settings.get("nx", 21)),
-        ny=int(settings.get("ny", 21)),
-    )
+def _grid_from(opts: dict) -> GridSpec:
+    return GridSpec(**_given(opts, xmin=float, xmax=float, ymin=float,
+                             ymax=float, nx=int, ny=int))
 
 
 def render_flow_svg(points, directions, ustar, grid: GridSpec) -> str:
@@ -251,79 +250,67 @@ def render_flow_svg(points, directions, ustar, grid: GridSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_flow(settings: Settings) -> int:
-    g = parse_vector(settings.require("ground_truth"))
-    grid = _grid_from(settings)
+def cmd_flow(opts: dict) -> int:
+    g = _require(opts, "ground_truth", parse_vector)
+    grid = _grid_from(opts)
     points, directions = flow_field(g, grid)
-    _emit(render_flow_svg(points, directions, g, grid), settings.get("out"))
+    _emit(render_flow_svg(points, directions, g, grid), opts.get("out"))
     return 0
 
 
-def cmd_descend(settings: Settings) -> int:
-    g = parse_vector(settings.require("ground_truth"))
-    seed = int(settings.get("seed", 0))
-    raw_u0 = settings.get("u0", "random")
-    if isinstance(raw_u0, str) and raw_u0 == "random":
+def cmd_descend(opts: dict) -> int:
+    g = _require(opts, "ground_truth", parse_vector)
+    if opts.get("u0", "random") == "random":
+        seed = _given(opts, seed=int).get("seed", 0)
         u0 = np.random.default_rng(seed).standard_normal(g.size)
     else:
-        u0 = parse_vector(raw_u0)
-    schedule = parse_schedule(settings.get("schedule", "inv_sqrt_k:0.1"))
-    trajectory = run_subgradient(
-        u0, g, schedule,
-        max_iters=int(settings.get("max_iters", DEFAULT_MAX_ITERS)),
-        stop_tol=float(settings.get("stop_tol", DEFAULT_TAU_SUCC)))
+        u0 = _require(opts, "u0", parse_vector)
+    schedule = _given(opts, schedule=parse_schedule).get("schedule", DEFAULT_SCHEDULE)
+    trajectory = run_subgradient(u0, g, schedule,
+                                 **_given(opts, max_iters=int, stop_tol=float))
     buf = io.StringIO()
     write_trajectory_csv(trajectory, buf)
-    _emit(buf.getvalue(), settings.get("out"))
+    _emit(buf.getvalue(), opts.get("out"))
     return 0
 
 
-def cmd_conjecture(settings: Settings) -> int:
-    g = parse_vector(settings.require("ground_truth"))
-    report = conjecture_probe(
-        g,
-        schedule=parse_schedule(settings.get("schedule", "inv_sqrt_k:0.1")),
-        trials=int(settings.get("trials", 200)),
-        max_iters=int(settings.get("max_iters", DEFAULT_MAX_ITERS)),
-        tau_succ=float(settings.get("tau_succ", DEFAULT_TAU_SUCC)),
-        tau_trap=float(settings.get("tau_trap", DEFAULT_TAU_TRAP)),
-        seed=int(settings.get("seed", 0)))
-    _emit_json(report.to_json_dict(), settings.get("out"))
+def cmd_conjecture(opts: dict) -> int:
+    g = _require(opts, "ground_truth", parse_vector)
+    report = conjecture_probe(g, **_given(
+        opts, schedule=parse_schedule, trials=int, max_iters=int,
+        tau_succ=float, tau_trap=float, seed=int))
+    _emit_json(report.to_json_dict(), opts.get("out"))
     return 0
 
 
-def cmd_gaussian_sep(settings: Settings) -> int:
-    n = int(settings.require("n"))
-    trials = int(settings.get("trials", 100_000))
-    seed = int(settings.get("seed", 0))
-    mean, stderr = gaussian_separation(n, trials, seed)
-    _emit_json({"n": n, "trials": trials, "seed": seed, "mean": mean,
-                "stderr": stderr, "expected": expected_gaussian_separation(n)},
-               settings.get("out"))
+def cmd_gaussian_sep(opts: dict) -> int:
+    n = _require(opts, "n", int)
+    # trials has no library default, and both values are echoed in the output
+    opts = {"trials": 100_000, "seed": 0, **opts}
+    run = _given(opts, trials=int, seed=int)
+    mean, stderr = gaussian_separation(n, **run)
+    _emit_json({"n": n, **run, "mean": mean, "stderr": stderr,
+                "expected": expected_gaussian_separation(n)}, opts.get("out"))
     return 0
 
 
-def cmd_growth_check(settings: Settings) -> int:
-    g = parse_vector(settings.require("ground_truth"))
-    report = growth_check(
-        g,
-        radius=float(settings.get("radius", 0.05)),
-        samples=int(settings.get("samples", 1000)),
-        seed=int(settings.get("seed", 0)))
+def cmd_growth_check(opts: dict) -> int:
+    g = _require(opts, "ground_truth", parse_vector)
+    opts = {"radius": 0.05, "samples": 1000, **opts}
+    report = growth_check(g, **_given(opts, radius=float, samples=int, seed=int))
     _emit_json({"ground_truth": _vec(g), "radius": report.radius,
                 "samples": report.samples, "violations": report.violations,
                 "min_margin": report.min_margin, "beta": report.beta},
-               settings.get("out"))
+               opts.get("out"))
     return 0
 
 
-def cmd_landscape(settings: Settings) -> int:
-    g = parse_vector(settings.require("ground_truth"))
+def cmd_landscape(opts: dict) -> int:
+    g = _require(opts, "ground_truth", parse_vector)
     if g.size != 2:
         raise ValueError("landscape sweeps a 2-d grid; ground truth must be a 2-vector")
-    eps_zero = float(settings.get("eps_zero", EPS_ZERO))
-    eps_lp = float(settings.get("eps_lp", EPS_LP))
-    grid = _grid_from(settings)
+    zero, eps = _tolerances(opts)
+    grid = _grid_from(opts)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -331,15 +318,15 @@ def cmd_landscape(settings: Settings) -> int:
                      "stationary_lp", "kind_lp", "agree"])
     disagreements = 0
     for u in grid.points():
-        cf = is_stationary_closed_form(u, g, eps_zero)
-        lp = is_stationary_lp(u, g, eps_zero, eps_lp)
+        cf = is_stationary_closed_form(u, g, **zero)
+        lp = is_stationary_lp(u, g, **eps)
         agree = _certifiers_agree(cf, lp)
         disagreements += 0 if agree else 1
         writer.writerow([f"{u[0]:.17g}", f"{u[1]:.17g}",
                          str(cf.is_stationary).lower(), cf.kind,
                          str(lp.is_stationary).lower(), lp.kind,
                          str(agree).lower()])
-    _emit(buf.getvalue(), settings.get("out"))
+    _emit(buf.getvalue(), opts.get("out"))
     if disagreements:
         print(f"{disagreements} grid points with certifier disagreement",
               file=sys.stderr)
@@ -347,46 +334,46 @@ def cmd_landscape(settings: Settings) -> int:
     return 0
 
 
-def cmd_tilt(settings: Settings) -> int:
-    sub = settings.args.tilt_command
-    if sub == "ex41-probe":
-        report = tilt_divergence_probe_ex41(
-            a=float(settings.require("a")),
-            x0=float(settings.get("x0", 3.0)),
-            schedule=parse_schedule(settings.get("schedule", "inv_sqrt_k:200")),
-            max_iters=int(settings.get("max_iters", 100_000)),
-            threshold=float(settings.get("threshold", ESCAPE_THRESHOLD)))
-        _emit_json({"tilt": report.tilt, "final_x": report.final_x,
-                    "iterations": report.iterations, "escaped": report.escaped,
-                    "threshold": report.threshold}, settings.get("out"))
-        return 0
-    if sub == "ex42-certify":
-        x0 = float(settings.require("x"))
-        a = float(settings.require("a"))
-        certified, modulus = certify_sharp_local_min_1d(EX42, x0, a)
-        _emit_json({"fn": EX42, "x0": x0, "tilt": a, "certified": certified,
-                    "modulus": modulus}, settings.get("out"))
-        return 0
-    if sub == "f-certify":
-        g = parse_vector(settings.get("ground_truth", "1,1"))
-        u0 = parse_vector(settings.get("point", "-1,1"))
-        a = parse_vector(settings.require("a"))
-        certified, modulus = certify_sharp_local_min_tilted_f(g, u0, a)
-        _emit_json({"ground_truth": _vec(g), "point": _vec(u0), "tilt": _vec(a),
-                    "certified": certified, "modulus": modulus},
-                   settings.get("out"))
-        return 0
-    if sub == "samples":
-        fn = settings.get("fn", EX42)
-        a = float(settings.require("a"))
-        xs = np.linspace(float(settings.get("xmin", -5.0)),
-                         float(settings.get("xmax", 5.0)),
-                         int(settings.get("num", 1001)))
-        buf = io.StringIO()
-        write_tilt_samples_csv(fn, a, xs, buf)
-        _emit(buf.getvalue(), settings.get("out"))
-        return 0
-    raise ValueError(f"unknown tilt subcommand {sub!r}")
+def cmd_tilt_ex41_probe(opts: dict) -> int:
+    a = _require(opts, "a", float)
+    opts = {"x0": 3.0, "schedule": "inv_sqrt_k:200", "max_iters": 100_000, **opts}
+    report = tilt_divergence_probe_ex41(a, **_given(
+        opts, x0=float, schedule=parse_schedule, max_iters=int, threshold=float))
+    _emit_json({"tilt": report.tilt, "final_x": report.final_x,
+                "iterations": report.iterations, "escaped": report.escaped,
+                "threshold": report.threshold}, opts.get("out"))
+    return 0
+
+
+def cmd_tilt_ex42_certify(opts: dict) -> int:
+    x0 = _require(opts, "x", float)
+    a = _require(opts, "a", float)
+    certified, modulus = certify_sharp_local_min_1d(EX42, x0, a)
+    _emit_json({"fn": EX42, "x0": x0, "tilt": a, "certified": certified,
+                "modulus": modulus}, opts.get("out"))
+    return 0
+
+
+def cmd_tilt_f_certify(opts: dict) -> int:
+    opts = {"ground_truth": "1,1", "point": "-1,1", **opts}
+    g = _require(opts, "ground_truth", parse_vector)
+    u0 = _require(opts, "point", parse_vector)
+    a = _require(opts, "a", parse_vector)
+    certified, modulus = certify_sharp_local_min_tilted_f(g, u0, a)
+    _emit_json({"ground_truth": _vec(g), "point": _vec(u0), "tilt": _vec(a),
+                "certified": certified, "modulus": modulus}, opts.get("out"))
+    return 0
+
+
+def cmd_tilt_samples(opts: dict) -> int:
+    a = _require(opts, "a", float)
+    opts = {"fn": EX42, "xmin": -5.0, "xmax": 5.0, "num": 1001, **opts}
+    xs = np.linspace(_require(opts, "xmin", float), _require(opts, "xmax", float),
+                     _require(opts, "num", int))
+    buf = io.StringIO()
+    write_tilt_samples_csv(_require(opts, "fn", str), a, xs, buf)
+    _emit(buf.getvalue(), opts.get("out"))
+    return 0
 
 
 # ----------------------------------------------------------------- parser
@@ -477,39 +464,37 @@ def build_parser() -> _Parser:
     q.add_argument("-a", dest="a", help="tilt size")
     q.add_argument("--x0", dest="x0", type=float)
     q.add_argument("--threshold", dest="threshold", type=float)
-    q.set_defaults(func=cmd_tilt)
+    q.set_defaults(func=cmd_tilt_ex41_probe)
 
     q = tilt_sub.add_parser("ex42-certify", help="sharp-local-min certificate "
                                                  "for the sawtooth function")
     _add_common(q, "out")
     q.add_argument("-x", dest="x", help="candidate point")
     q.add_argument("-a", dest="a", help="tilt size")
-    q.set_defaults(func=cmd_tilt)
+    q.set_defaults(func=cmd_tilt_ex42_certify)
 
     q = tilt_sub.add_parser("f-certify", help="sharp-local-min certificate for "
                                               "the tilted matrix objective")
     _add_common(q, "ground_truth", "point", "out")
     q.add_argument("-a", dest="a", help="tilt vector a1,a2")
-    q.set_defaults(func=cmd_tilt)
+    q.set_defaults(func=cmd_tilt_f_certify)
 
     q = tilt_sub.add_parser("samples", help="CSV samples of g and its tilt")
     _add_common(q, "out")
-    q.add_argument("--fn", dest="fn", choices=[EX41, EX42])
+    q.add_argument("--fn", dest="fn", choices=list(SCALAR_FNS))
     q.add_argument("-a", dest="a", help="tilt size")
     q.add_argument("--xmin", type=float)
     q.add_argument("--xmax", type=float)
     q.add_argument("--num", dest="num", type=int)
-    q.set_defaults(func=cmd_tilt)
+    q.set_defaults(func=cmd_tilt_samples)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        settings = Settings(args)
-        return args.func(settings)
+        return args.func(_options(args))
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

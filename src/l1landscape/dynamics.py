@@ -76,6 +76,9 @@ class StepSchedule:
         return self.c * self.q ** k
 
 
+DEFAULT_SCHEDULE = StepSchedule(INV_SQRT_K, 0.1)
+
+
 @dataclass
 class Trajectory:
     iters: np.ndarray = field(repr=False)
@@ -225,7 +228,7 @@ class ConjectureReport:
         }
 
 
-def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
+def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = DEFAULT_SCHEDULE,
                      trials: int = 200, max_iters: int = DEFAULT_MAX_ITERS,
                      tau_succ: float = DEFAULT_TAU_SUCC,
                      tau_trap: float = DEFAULT_TAU_TRAP,
@@ -243,8 +246,8 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = None,
     ustar = as_vector(ustar)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if schedule is None:
-        schedule = StepSchedule(INV_SQRT_K, 0.1)
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
     n = ustar.size
 
     finals = np.empty((trials, n))

@@ -161,6 +161,8 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
     ustar = as_vector(ustar)
     if radius <= 0.0:
         raise ValueError("radius must be positive")
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     beta = 0.5 * sharpness_coefficient(ustar)
     f_star = objective(ustar, ustar)
     violations = 0

@@ -23,6 +23,7 @@ feasibility_min_infinity_norm() reads a certificate w of its value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +255,10 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
         return 0.0, x0, np.zeros(0)
     row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)
     t_cap = float(row_bound.max())
+    if not math.isfinite(t_cap):
+        # Every entry of A and of both bounds enters t_cap, so this is the
+        # check solve makes, in time for the presolve exit.
+        raise ValueError("all problem data must be finite")
     if t_cap == 0.0 or np.array_equal(lower, upper):
         # x0 is the only feasible x, or every row is 0 on the whole box.
         r = a @ x0

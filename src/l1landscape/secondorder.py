@@ -26,6 +26,7 @@ from .lpcore import EPS_LP, OPTIMAL, BoxEqLP, NumericalFailureError, solve
 from .stationarity import (
     GROUND_TRUTH_MINUS,
     GROUND_TRUTH_PLUS,
+    NOT_STATIONARY,
     SPURIOUS,
     is_stationary_closed_form,
     min_norm_element,
@@ -33,7 +34,6 @@ from .stationarity import (
 
 GLOBAL_MIN = "global_min"
 SPURIOUS_STATIONARY = "spurious_stationary"
-NOT_STATIONARY = "not_stationary"
 
 # Numeric estimator defaults: geometric t-ladder and a ball around the
 # direction whose radius shrinks with t (the liminf ranges over w' -> w).

@@ -75,16 +75,19 @@ def eval_ex42(x: float):
     return value, interval
 
 
-_SCALAR_FNS = (EX41, EX42)
+def _ex41_interval(x: float):
+    value, slope = eval_ex41(x)
+    return value, (slope, slope)
 
 
-def _subdifferential_interval(fn: str, x: float):
-    if fn == EX41:
-        _, slope = eval_ex41(x)
-        return slope, slope
-    if fn == EX42:
-        return eval_ex42(x)[1]
-    raise ValueError(f"unknown scalar function {fn!r}")
+# Each scalar example as x -> (value, subdifferential interval).
+SCALAR_FNS = {EX41: _ex41_interval, EX42: eval_ex42}
+
+
+def _scalar_fn(fn: str):
+    if fn not in SCALAR_FNS:
+        raise ValueError(f"unknown scalar function {fn!r}")
+    return SCALAR_FNS[fn]
 
 
 def certify_sharp_local_min_1d(fn: str, x0: float, a: float):
@@ -95,7 +98,7 @@ def certify_sharp_local_min_1d(fn: str, x0: float, a: float):
     min(a - lo, hi - a). Smooth points have a degenerate interval and never
     certify.
     """
-    lo, hi = _subdifferential_interval(fn, float(x0))
+    lo, hi = _scalar_fn(fn)(float(x0))[1]
     modulus = min(float(a) - lo, hi - float(a))
     if modulus > 0.0:
         return True, modulus
@@ -175,11 +178,9 @@ def tilt_divergence_probe_ex41(a: float, x0: float, schedule: StepSchedule,
 
 def write_tilt_samples_csv(fn: str, a: float, xs, fileobj) -> None:
     """Rows x, g, h_a over the sample points, for plotting tilted landscapes."""
-    evaluate = {EX41: lambda x: eval_ex41(x)[0], EX42: lambda x: eval_ex42(x)[0]}
-    if fn not in evaluate:
-        raise ValueError(f"unknown scalar function {fn!r}")
+    evaluate = _scalar_fn(fn)
     writer = csv.writer(fileobj)
     writer.writerow(["x", "g", "h_a"])
     for x in np.asarray(xs, dtype=float):
-        g = evaluate[fn](float(x))
+        g = evaluate(float(x))[0]
         writer.writerow([f"{x:.17g}", f"{g:.17g}", f"{g - a * x:.17g}"])

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from l1landscape.cli import main, parse_schedule, parse_vector
+from l1landscape.cli import build_parser, main, parse_schedule, parse_vector
 from l1landscape.dynamics import GEOMETRIC, INV_SQRT_K
 
 
@@ -239,6 +240,46 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["seed"] == 3
 
 
+@pytest.mark.parametrize("config,key", [({"trials": [1]}, "trials"),
+                                        ({"seed": "abc"}, "seed"),
+                                        ({"schedule": 0.1}, "schedule")])
+def test_config_value_of_the_wrong_type_exits_one(tmp_path, capsys, config, key):
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "conjecture", "-g", "1,1", "--max-iters", "5",
+                             "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(key) in err
+
+
+def test_config_null_is_unset(tmp_path, capsys):
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps({"seed": None, "trials": None, "max_iters": 5}))
+    code, payload = run_json(capsys, "conjecture", "-g", "1,1", "--config", str(cfg))
+    assert code == 0
+    _, default = run_json(capsys, "conjecture", "-g", "1,1", "--max-iters", "5")
+    assert payload == default
+    assert (payload["seed"], payload["trials"]) == (0, 200)
+    # a null does not satisfy a required key either
+    cfg.write_text(json.dumps({"ground_truth": None}))
+    code, _, err = run_cli(capsys, "conjecture", "--config", str(cfg))
+    assert code == 1
+    assert "missing required parameter 'ground-truth'" in err
+
+
+@pytest.mark.parametrize("command,message", [
+    ("growth-check -g 1,1 --samples -3", "samples must be nonnegative"),
+    ("conjecture -g 1,1 --trials 2 --max-iters -4", "max_iters must be nonnegative"),
+])
+def test_negative_counts_exit_one(capsys, command, message):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
 def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--bogus"])
@@ -287,6 +328,16 @@ GOLDEN = [  # (command line, exit code, sha256 of stdout)
      "041ac2b4892319deda9b0d53d45b989c3c1750ee822b4a34852ed5805297de98"),
     ("growth-check -g 1,1 --samples 200 -s 0", 0,
      "d91cc483e7cef626ceb84c77735b3fe1c3ad1d19ebd989f13d08708e6711b225"),
+    ("gaussian-sep -n 16 -t 2000 -s 7", 0,
+     "3497a992cae5e140c9173558a92ed8fce4c1895608c110c35d51e35635b619d0"),
+    ("tilt ex41-probe -a 0.01", 0,
+     "08b3d93993ef0d3c9bad3abcfb77c859a4d73d17627fb1df7cb87df2177a97a5"),
+    ("tilt ex42-certify -x 3 -a 0.45", 0,
+     "f3391ad57360d8317163a1f76e37990273050ac3402d700a57cf0d4d460f3b67"),
+    ("tilt f-certify -a -1,1", 0,
+     "edb812b4f9b3079eda9df11b78dd872fc12bade432a9569b6c1539d689efeb2b"),
+    ("tilt samples -a 0.45 --xmin -1 --xmax 1 --num 5", 0,
+     "cebc6b903db4ac1e657dadfc4d917c7eece227dbb3fa0ff14240586f8a9f4fd3"),
 ]
 
 
@@ -301,3 +352,22 @@ def test_golden_output(capsys, line, code, digest):
     got, out, _ = run_cli(capsys, *line.split())
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _leaf_commands(parser, prefix=""):
+    """Every runnable subcommand path, e.g. "certify" or "tilt samples"."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_commands(sub, prefix + name + " ")
+            return
+    yield prefix.strip()
+
+
+def test_every_subcommand_has_a_golden_line():
+    leaves = list(_leaf_commands(build_parser()))
+    assert len(leaves) == 11
+    pinned = {line for line, _, _ in GOLDEN}
+    missing = [leaf for leaf in leaves
+               if not any(line.startswith(leaf + " ") for line in pinned)]
+    assert missing == []

@@ -245,6 +245,16 @@ def test_conjecture_probe_single_trial_at_ground_truth():
     assert report.labels == (SUCCESS,)
 
 
+def test_conjecture_probe_iteration_count():
+    # zero steps label the Gaussian starts themselves
+    report = conjecture_probe([1.0, 1.0], trials=2, max_iters=0, seed=5)
+    assert report.schedule == dynamics.DEFAULT_SCHEDULE
+    np.testing.assert_array_equal(report.final_points[1],
+                                  np.random.default_rng([5, 1]).standard_normal(2))
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        conjecture_probe([1.0, 1.0], trials=2, max_iters=-4)
+
+
 def test_conjecture_probe_rejects_a_wrong_size_init():
     # a length-1 start would otherwise broadcast one value to every coordinate
     with pytest.raises(ValueError, match=r"init\(rng\) returned shape \(1,\)"):

@@ -179,6 +179,13 @@ def test_growth_check_is_deterministic():
     assert a == b
 
 
+def test_growth_check_sample_count():
+    report = growth_check([1.0, 1.0], 0.05, 0)
+    assert (report.samples, report.violations, report.min_margin) == (0, 0, 0.0)
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        growth_check([1.0, 1.0], 0.05, -3)
+
+
 def test_descriptor_validation():
     cone = CriticalConeDescriptor((FREE, ZERO), (0, 0))
     assert cone.dim == 2

@@ -133,6 +133,17 @@ def test_validation_errors():
                 feasibility_min_infinity_norm(lower, upper, a, eps_lp)
 
 
+@pytest.mark.parametrize("lower,upper,a", [
+    ([1.0], [1.0], [[np.nan]]),        # presolve: all fixed
+    ([np.inf], [np.inf], [[1.0]]),     # presolve: all fixed
+    ([-1.0], [1.0], [[np.nan]]),       # simplex path
+])
+def test_min_infinity_norm_rejects_non_finite_data(lower, upper, a):
+    # the presolve exits answer with the simplex path's error, not nan or inf
+    with pytest.raises(ValueError, match="all problem data must be finite"):
+        feasibility_min_infinity_norm(lower, upper, a)
+
+
 def random_instance(rng, feasible=True):
     k = int(rng.integers(1, 7))
     m = int(rng.integers(0, min(k, 3) + 1))

@@ -8,6 +8,7 @@ from l1landscape.dynamics import INV_SQRT_K, StepSchedule
 from l1landscape.tilting import (
     EX41,
     EX42,
+    SCALAR_FNS,
     certify_sharp_local_min_1d,
     certify_sharp_local_min_tilted_f,
     eval_ex41,
@@ -222,3 +223,12 @@ def test_tilt_samples_csv():
     assert h == g - 0.45 * x
     with pytest.raises(ValueError):
         write_tilt_samples_csv("ex99", 0.0, xs, io.StringIO())
+
+
+
+def test_scalar_functions_table():
+    value, slope = eval_ex41(1.5)
+    assert SCALAR_FNS[EX41](1.5) == (value, (slope, slope))
+    assert SCALAR_FNS[EX42](3.0) == eval_ex42(3.0)
+    with pytest.raises(ValueError, match="unknown scalar function"):
+        certify_sharp_local_min_1d("ex99", 0.0, 0.0)
