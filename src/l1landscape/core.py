@@ -26,6 +26,10 @@ from .lpcore import EPS_LP
 # Residual entries with |r_ij| <= EPS_ZERO are classified as exact zeros.
 EPS_ZERO = 1e-9
 
+# objective evaluates a stack (K, n) in row blocks of at most this many
+# residual entries, so its memory does not grow as K n^2.
+STACK_ENTRIES = 1 << 20
+
 
 def as_vector(u) -> np.ndarray:
     """Validate and convert to a 1-D float array with finite entries."""
@@ -88,8 +92,15 @@ def objective(u, ustar):
     """f(u) = 0.5 * sum_ij |(u u^T - ustar ustar^T)_ij|.
 
     u is one point (n,), giving a float, or a stack (K, n), giving a (K,)
-    array whose entries have the bits of the single-point calls.
+    array whose entries have the bits of the single-point calls; a stack
+    is evaluated in row blocks of at most STACK_ENTRIES residual entries.
     """
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 2:
+        rows = max(1, STACK_ENTRIES // max(u.shape[1], 1) ** 2)
+        if len(u) > rows:
+            return np.concatenate([objective(u[i:i + rows], ustar)
+                                   for i in range(0, len(u), rows)])
     r = residual(u, ustar)
     f = 0.5 * np.abs(r, out=r).sum(axis=(-2, -1))
     return float(f) if r.ndim == 2 else f

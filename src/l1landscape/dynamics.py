@@ -237,11 +237,14 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = DEFAULT_SC
 
     Each trial draws its start from init (standard Gaussian by default, or a
     callable rng -> vector of shape (n,)) using an rng keyed by (seed, trial
-    index), runs max_iters steps, and is labeled by its final state: success
-    within tau_succ of a ground truth, trapped within tau_trap of the
-    spurious polytope, undecided otherwise. selection is as in
-    run_subgradient; with None all trials step in lockstep. Aggregation is
-    in trial order, so the report is reproducible bit for bit.
+    index), takes exactly max_iters steps, and is labeled by its final
+    state: success within tau_succ of a ground truth, trapped within
+    tau_trap of the spurious polytope, undecided otherwise. All trials step
+    in lockstep, for every selection: None takes the midpoint element, and
+    a callable (u, k) -> g is called once per trial per step, for trials
+    0, 1, ... at step 1, then at step 2, and so on; a zero g is a zero
+    step, not the end of a trial. Aggregation is in trial order, so the
+    report is reproducible bit for bit.
     """
     ustar = as_vector(ustar)
     if trials < 1:
@@ -256,15 +259,14 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = DEFAULT_SC
         finals[t] = (rng.standard_normal(n) if init == "gaussian"
                      else _sized_vector(init(rng), n, "init(rng)"))
 
-    if selection is None:
-        # All trials in lockstep; each row gets run_subgradient's bits.
-        for k in range(1, max_iters + 1):
+    # All trials in lockstep; each row gets run_subgradient's bits.
+    for k in range(1, max_iters + 1):
+        if selection is None:
             g = midpoint_subgradient(finals, ustar)
-            finals -= schedule.step(k) * g
-    else:
-        for t in range(trials):
-            finals[t] = run_subgradient(finals[t], ustar, schedule, max_iters,
-                                        stop_tol=0.0, selection=selection).final_point
+        else:
+            g = np.array([_sized_vector(selection(u, k), n, "selection(u, k)")
+                          for u in finals])
+        finals -= schedule.step(k) * g
 
     dist_gt = distance_to_ground_truths(finals, ustar)
     dist_sp = _spurious_distance(finals, ustar)

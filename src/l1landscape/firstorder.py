@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_ZERO, _pair, as_vector, objective, sign_scalar, subdifferential_model
+from .core import EPS_ZERO, _pair, as_vector, objective, subdifferential_model
 from .stationarity import GROUND_TRUTH_MINUS, GROUND_TRUTH_PLUS, is_stationary_closed_form
 
 HALF_LINE = "half_line"
@@ -110,19 +110,11 @@ def critical_cone(u, ustar, eps_zero: float = EPS_ZERO,
     if np.abs(u).max() <= eps_zero:
         return CriticalConeDescriptor((FREE,) * u.size, (0,) * u.size)
 
-    kinds = []
-    signs = []
-    for j in range(u.size):
-        if abs(ustar[j]) <= eps_zero:
-            kinds.append(ZERO)
-            signs.append(0)
-        elif abs(u[j]) >= abs(ustar[j]) - eps_zero:
-            kinds.append(HALF_LINE)
-            signs.append(sign_scalar(u[j]))
-        else:
-            kinds.append(FREE)
-            signs.append(0)
-    return CriticalConeDescriptor(tuple(kinds), tuple(signs))
+    zero = np.abs(ustar) <= eps_zero
+    half = ~zero & (np.abs(u) >= np.abs(ustar) - eps_zero)
+    kinds = np.where(zero, ZERO, np.where(half, HALF_LINE, FREE))
+    signs = np.sign(u).astype(int) * half
+    return CriticalConeDescriptor(tuple(kinds.tolist()), tuple(signs.tolist()))
 
 
 def cone_membership(u, ustar, w, eps_zero: float = EPS_ZERO,
@@ -164,16 +156,10 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     beta = 0.5 * sharpness_coefficient(ustar)
-    f_star = objective(ustar, ustar)
-    violations = 0
-    min_margin = np.inf
-    for t in range(samples):
-        rng = np.random.default_rng([seed, t])
-        u = ustar + rng.uniform(-radius, radius, ustar.size)
-        margin = objective(u, ustar) - f_star - beta * float(np.abs(u - ustar).sum())
-        if margin < 0.0:
-            violations += 1
-        min_margin = min(min_margin, margin)
     if samples == 0:
-        min_margin = 0.0
-    return GrowthReport(samples, violations, float(min_margin), radius, beta)
+        return GrowthReport(0, 0, 0.0, radius, beta)
+    f_star = objective(ustar, ustar)
+    u = ustar + np.array([np.random.default_rng([seed, t]).uniform(-radius, radius, ustar.size)
+                          for t in range(samples)])
+    margin = objective(u, ustar) - f_star - beta * np.abs(u - ustar).sum(axis=1)
+    return GrowthReport(samples, int((margin < 0.0).sum()), float(margin.min()), radius, beta)

@@ -253,7 +253,8 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     x0 = np.where(start_low, lower, upper).astype(float)
     if m == 0:
         return 0.0, x0, np.zeros(0)
-    row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)
+    with np.errstate(invalid="ignore"):  # 0 * inf is nan, which the check below rejects
+        row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)
     t_cap = float(row_bound.max())
     if not math.isfinite(t_cap):
         # Every entry of A and of both bounds enters t_cap, so this is the

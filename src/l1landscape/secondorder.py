@@ -138,9 +138,8 @@ def second_subderivative_numeric(u, ustar, w, t0: float = T0, rho: float = RHO,
             norm = float(np.linalg.norm(g))
             radius = delta_w * t * rng.uniform() ** (1.0 / max(w.size, 1))
             cloud.append(w if norm == 0.0 else w + radius * g / norm)
-        for wp in cloud:
-            quotient = (objective(u + t * wp, ustar) - f0) / (0.5 * t * t)
-            best = min(best, quotient)
+        quotients = (objective(u + t * np.array(cloud), ustar) - f0) / (0.5 * t * t)
+        best = min(best, float(quotients.min()))
     return best
 
 

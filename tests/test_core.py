@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from l1landscape import core
 from l1landscape.core import (
     EPS_ZERO,
+    STACK_ENTRIES,
     as_vector,
     finite_difference_slope,
     midpoint_subgradient,
@@ -12,6 +16,8 @@ from l1landscape.core import (
     subdifferential_model,
     subgradient_select,
 )
+from l1landscape.dynamics import INV_SQRT_K, StepSchedule, run_subgradient
+from l1landscape.firstorder import growth_check
 from l1landscape.lpcore import feasibility_min_infinity_norm
 
 vectors = st.lists(
@@ -117,6 +123,40 @@ def test_objective_of_a_stack_has_the_bits_of_single_points():
     for bad in (np.ones((2, 3)), np.ones((0, 2)), [[1.0, np.nan]]):
         with pytest.raises(ValueError):
             objective(bad, [1.0, 1.0])
+
+
+def test_objective_blocks_a_large_stack_with_single_point_bits():
+    # 150 x 150 residuals: a 100-row stack spans three blocks of 46 rows
+    rng = np.random.default_rng(13)
+    ustar = rng.standard_normal(150)
+    u = rng.standard_normal((100, 150))
+    values = objective(u, ustar)
+    assert values.shape == (100,)
+    assert [values[k] for k in range(100)] == [objective(row, ustar) for row in u]
+    u[-1, 0] = np.inf   # the last block still validates its rows
+    with pytest.raises(ValueError, match="finite"):
+        objective(u, ustar)
+
+
+def test_no_stacked_caller_holds_more_than_stack_entries(monkeypatch):
+    """At n = 150 a 1,024-row residual would hold 23 million entries."""
+    assert STACK_ENTRIES == 1 << 20
+    shapes = []
+    residual = core.residual
+
+    def recording(u, ustar):
+        shapes.append(np.shape(u))
+        return residual(u, ustar)
+
+    monkeypatch.setattr(core, "residual", recording)
+    rng = np.random.default_rng(21)
+    ustar = rng.standard_normal(150)
+    traj = run_subgradient(rng.standard_normal(150), ustar, StepSchedule(INV_SQRT_K, 0.1),
+                           max_iters=1500, stop_tol=0.0)
+    assert len(traj) == 1501
+    growth_check(ustar, 0.05, samples=1000)
+    assert sum(math.prod(s[:-1]) for s in shapes) == 1501 + 1000 + 1   # + f(ustar)
+    assert max(math.prod(s) * s[-1] for s in shapes) <= 1 << 20
 
 
 def test_as_vector_rejects_bad_input():

@@ -269,8 +269,9 @@ def test_run_subgradient_rejects_a_wrong_size_selection():
 
 
 def test_batch_and_per_trial_paths_agree():
-    """The lockstep probe, the per-trial probe and run_subgradient from the same
-    starts end on the same bits."""
+    """The probe with the midpoint rule, the probe with that rule passed as a
+    callable selection, and run_subgradient from the same starts end on the
+    same bits."""
     for ustar in ([1.0, 1.0], [1.0, -0.5, 2.0], np.linspace(-1.0, 1.5, 10)):
         ustar = np.asarray(ustar)
         batch = conjecture_probe(ustar, trials=20, max_iters=300, seed=3)
@@ -284,6 +285,50 @@ def test_batch_and_per_trial_paths_agree():
             u0 = np.random.default_rng([3, t]).standard_normal(ustar.size)
             traj = run_subgradient(u0, ustar, batch.schedule, 300, stop_tol=0.0)
             np.testing.assert_array_equal(traj.final_point, batch.final_points[t])
+
+
+def test_callable_probe_with_zero_iterations_labels_the_starts():
+    midpoint = conjecture_probe([1.0, 1.0], trials=2, max_iters=0, seed=5)
+    callable_ = conjecture_probe([1.0, 1.0], trials=2, max_iters=0, seed=5,
+                                 selection=lambda u, k: u)
+    assert callable_.labels == midpoint.labels
+    np.testing.assert_array_equal(callable_.final_points, midpoint.final_points)
+
+
+def test_callable_probe_steps_in_the_lockstep_loop(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("conjecture_probe called run_subgradient")
+
+    monkeypatch.setattr(dynamics, "run_subgradient", refuse)
+    calls = []
+
+    def selection(u, k):
+        calls.append(k)
+        return subgradient_select(u, [1.0, -0.5, 2.0])
+
+    report = conjecture_probe([1.0, -0.5, 2.0], trials=4, max_iters=3, seed=2,
+                              selection=selection)
+    assert report.trials == 4
+    # once per trial per step, step by step
+    assert calls == [1] * 4 + [2] * 4 + [3] * 4
+
+
+def test_a_zero_g_is_a_zero_step_not_the_end_of_a_trial():
+    ustar = np.array([1.0, -0.5, 2.0])
+    schedule = StepSchedule(INV_K, 0.2)
+
+    def selection(u, k):
+        return np.zeros(3) if k % 3 == 1 else subgradient_select(u, ustar)
+
+    report = conjecture_probe(ustar, schedule=schedule, trials=5, max_iters=40, seed=8,
+                              selection=selection)
+    for t in range(5):
+        u = np.random.default_rng([8, t]).standard_normal(3)
+        start = u
+        for k in range(1, 41):
+            u = u - schedule.step(k) * selection(u, k)
+        assert not np.array_equal(u, start)
+        np.testing.assert_array_equal(report.final_points[t], u)
 
 
 def test_adversarial_selection_traps_on_the_polytope():

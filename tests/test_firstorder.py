@@ -1,10 +1,13 @@
+import ast
+import inspect
 from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l1landscape.core import subdifferential_model
+from l1landscape import firstorder
+from l1landscape.core import objective, sign_scalar, subdifferential_model
 from l1landscape.firstorder import (
     EPS_DIR,
     FREE,
@@ -12,6 +15,7 @@ from l1landscape.firstorder import (
     ZERO,
     CriticalConeDescriptor,
     GroundTruthConeError,
+    GrowthReport,
     NotStationaryError,
     cone_membership,
     critical_cone,
@@ -19,7 +23,12 @@ from l1landscape.firstorder import (
     growth_check,
     sharpness_coefficient,
 )
-from l1landscape.stationarity import project_to_spurious_set
+from l1landscape.stationarity import (
+    GROUND_TRUTH_MINUS,
+    GROUND_TRUTH_PLUS,
+    is_stationary_closed_form,
+    project_to_spurious_set,
+)
 
 
 def enumerate_support_value(u, ustar, w):
@@ -191,3 +200,114 @@ def test_descriptor_validation():
     assert cone.dim == 2
     with pytest.raises(ValueError):
         cone.contains([1.0, 2.0, 3.0])
+
+
+def reference_critical_cone(u, ustar, eps_zero=1e-9, allow_ground_truth=False):
+    """critical_cone with its former loop over coordinates, as an oracle."""
+    u = np.asarray(u, dtype=float)
+    ustar = np.asarray(ustar, dtype=float)
+    verdict = is_stationary_closed_form(u, ustar, eps_zero)
+    if not verdict.is_stationary:
+        raise NotStationaryError
+    if verdict.kind in (GROUND_TRUTH_PLUS, GROUND_TRUTH_MINUS):
+        if not allow_ground_truth:
+            raise GroundTruthConeError
+        return CriticalConeDescriptor((ZERO,) * u.size, (0,) * u.size)
+    if np.abs(u).max() <= eps_zero:
+        return CriticalConeDescriptor((FREE,) * u.size, (0,) * u.size)
+    kinds = []
+    signs = []
+    for j in range(u.size):
+        if abs(ustar[j]) <= eps_zero:
+            kinds.append(ZERO)
+            signs.append(0)
+        elif abs(u[j]) >= abs(ustar[j]) - eps_zero:
+            kinds.append(HALF_LINE)
+            signs.append(sign_scalar(u[j]))
+        else:
+            kinds.append(FREE)
+            signs.append(0)
+    return CriticalConeDescriptor(tuple(kinds), tuple(signs))
+
+
+def reference_growth_check(ustar, radius, samples, seed=0):
+    """growth_check with its former loop over samples, as an oracle."""
+    ustar = np.asarray(ustar, dtype=float)
+    beta = 0.5 * sharpness_coefficient(ustar)
+    f_star = objective(ustar, ustar)
+    violations = 0
+    min_margin = np.inf
+    for t in range(samples):
+        rng = np.random.default_rng([seed, t])
+        u = ustar + rng.uniform(-radius, radius, ustar.size)
+        margin = objective(u, ustar) - f_star - beta * float(np.abs(u - ustar).sum())
+        if margin < 0.0:
+            violations += 1
+        min_margin = min(min_margin, margin)
+    if samples == 0:
+        min_margin = 0.0
+    return GrowthReport(samples, violations, float(min_margin), radius, beta)
+
+
+def cone_or_error(cone_fn, u, ustar):
+    try:
+        return cone_fn(u, ustar, allow_ground_truth=True)
+    except NotStationaryError:
+        return NotStationaryError
+
+
+def test_critical_cone_matches_the_per_coordinate_reference():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for n in range(1, 41):
+        for trial in range(8):
+            ustar = rng.standard_normal(n)
+            ustar[rng.random(n) < 0.25] = 0.0   # coordinates with ustar_i = 0
+            ustar[-1] = ustar[-1] or 1.0
+            if trial == 0:
+                points = [np.zeros(n), ustar, -ustar]
+            else:
+                points = [project_to_spurious_set(rng.standard_normal(n) * s, ustar)[0]
+                          for s in (0.1, 1.0, 3.0)]
+            for u in points:
+                cone = cone_or_error(critical_cone, u, ustar)
+                assert cone == cone_or_error(reference_critical_cone, u, ustar)
+                if cone is not NotStationaryError:
+                    checked += 1
+                    assert all(type(s) is int for s in cone.signs)
+                    assert all(type(k) is str for k in cone.kinds)
+    assert checked > 800
+
+
+def test_critical_cone_has_no_loop_over_coordinates():
+    tree = ast.parse(inspect.getsource(critical_cone))
+    loops = (ast.For, ast.While, ast.ListComp, ast.GeneratorExp, ast.SetComp, ast.DictComp)
+    assert not any(isinstance(node, loops) for node in ast.walk(tree))
+
+
+def test_growth_check_matches_the_per_sample_reference():
+    rng = np.random.default_rng(32)
+    violations = 0
+    for n in range(1, 41):
+        ustar = rng.standard_normal(n)
+        ustar[rng.random(n) < 0.25] = 0.0
+        ustar[0] = 1.5
+        radius = float(rng.choice([0.05, 0.5, 4.0]))   # 4.0 reaches -ustar at small n
+        for samples in (0, 1, int(rng.integers(2, 200))):
+            seed = int(rng.integers(100))
+            report = growth_check(ustar, radius, samples, seed)
+            assert report == reference_growth_check(ustar, radius, samples, seed)
+            violations += report.violations
+    assert violations > 0
+
+
+def test_growth_check_evaluates_one_stack(monkeypatch):
+    shapes = []
+
+    def counting(u, ustar):
+        shapes.append(np.shape(u))
+        return objective(u, ustar)
+
+    monkeypatch.setattr(firstorder, "objective", counting)
+    growth_check([1.0, -0.5, 2.0], 0.1, 500, seed=4)
+    assert shapes == [(3,), (500, 3)]

@@ -137,6 +137,7 @@ def test_validation_errors():
     ([1.0], [1.0], [[np.nan]]),        # presolve: all fixed
     ([np.inf], [np.inf], [[1.0]]),     # presolve: all fixed
     ([-1.0], [1.0], [[np.nan]]),       # simplex path
+    ([0.0], [0.0], [[np.inf]]),        # 0 * inf: the error, not numpy's warning
 ])
 def test_min_infinity_norm_rejects_non_finite_data(lower, upper, a):
     # the presolve exits answer with the simplex path's error, not nan or inf

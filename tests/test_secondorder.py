@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from l1landscape import lpcore, secondorder, stationarity
 from l1landscape.core import (
     SubdifferentialModel,
+    objective,
     residual_pattern,
     subdifferential_model,
     subgradient_select,
@@ -163,6 +164,59 @@ def test_numeric_estimator_monotone_under_grid_refinement():
     fine = second_subderivative_numeric(*args, k_max=12, ball_samples=64)
     assert coarse >= medium >= fine
     assert fine == pytest.approx(-4.0, rel=0.05)
+
+
+def reference_numeric(u, ustar, w, t0=1e-2, rho=0.5, k_max=12, delta_w=None,
+                      ball_samples=64, seed=0):
+    """second_subderivative_numeric with its former loop over the cloud
+    points, one objective call each, as an oracle."""
+    u, ustar, w = (np.asarray(x, dtype=float) for x in (u, ustar, w))
+    if delta_w is None:
+        delta_w = 1e-3 * float(np.linalg.norm(w))
+    f0 = objective(u, ustar)
+    best = math.inf
+    for k in range(k_max + 1):
+        t = t0 * rho ** k
+        rng = np.random.default_rng([seed, k])
+        cloud = [w]
+        for _ in range(ball_samples):
+            g = rng.standard_normal(w.size)
+            norm = float(np.linalg.norm(g))
+            radius = delta_w * t * rng.uniform() ** (1.0 / max(w.size, 1))
+            cloud.append(w if norm == 0.0 else w + radius * g / norm)
+        for wp in cloud:
+            best = min(best, (objective(u + t * wp, ustar) - f0) / (0.5 * t * t))
+    return best
+
+
+def test_numeric_estimator_matches_the_per_point_reference():
+    rng = np.random.default_rng(33)
+    for n in range(1, 41):
+        ustar = rng.standard_normal(n)
+        ustar[rng.random(n) < 0.25] = 0.0
+        u = np.zeros(n) if n % 4 == 0 else rng.standard_normal(n)
+        w = np.zeros(n) if n % 10 == 0 else rng.standard_normal(n)
+        kwargs = {"k_max": int(rng.integers(0, 8)), "ball_samples": int(rng.integers(0, 40)),
+                  "seed": int(rng.integers(100))}
+        assert (second_subderivative_numeric(u, ustar, w, **kwargs)
+                == reference_numeric(u, ustar, w, **kwargs))
+    u, ustar = random_spurious(rng, 6)
+    w = ustar - u
+    assert second_subderivative_numeric(u, ustar, w) == reference_numeric(u, ustar, w)
+
+
+def test_numeric_estimator_evaluates_one_stack_per_t(monkeypatch):
+    shapes = []
+
+    def counting(u, ustar):
+        shapes.append(np.shape(u))
+        return objective(u, ustar)
+
+    monkeypatch.setattr(secondorder, "objective", counting)
+    second_subderivative_numeric([-1.0, 1.0], [1.0, 1.0], [2.0, 0.0])
+    assert len(shapes) == secondorder.K_MAX + 2
+    assert shapes[0] == (2,)
+    assert set(shapes[1:]) == {(secondorder.BALL_SAMPLES + 1, 2)}
 
 
 def test_numeric_matches_lp_on_escape_directions():

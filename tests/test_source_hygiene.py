@@ -1,0 +1,77 @@
+"""Source hygiene of src/l1landscape, read with ast alone.
+
+A module other than __init__.py imports no name it never uses, and every
+module-level _private name is referenced by some module of the package.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "l1landscape"
+
+
+def parse_package():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def imported_names(tree):
+    """Names bound by the module's imports, other than __future__ ones."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def referenced_names(tree):
+    """Names a module reads, attributes it looks up, and names it imports."""
+    names = loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def private_definitions(tree):
+    """Module-level _names defined by def, class or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {name: sorted(imported_names(tree) - loaded_names(tree))
+              for name, tree in parse_package().items() if name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_every_private_name_is_referenced():
+    package = parse_package()
+    referenced = set().union(*(referenced_names(tree) for tree in package.values()))
+    orphans = {name: sorted(private_definitions(tree) - referenced)
+               for name, tree in package.items()}
+    assert {name: found for name, found in orphans.items() if found} == {}
+
+
+def test_the_checks_see_an_unused_import_and_an_orphan():
+    tree = ast.parse("from .core import objective, sign_scalar\n"
+                     "import numpy as np\n"
+                     "def _orphan():\n"
+                     "    return objective\n")
+    assert imported_names(tree) - loaded_names(tree) == {"sign_scalar", "np"}
+    assert private_definitions(tree) - referenced_names(tree) == {"_orphan"}
