@@ -26,8 +26,8 @@ from .lpcore import EPS_LP
 # Residual entries with |r_ij| <= EPS_ZERO are classified as exact zeros.
 EPS_ZERO = 1e-9
 
-# objective evaluates a stack (K, n) in row blocks of at most this many
-# residual entries, so its memory does not grow as K n^2.
+# objective and midpoint_subgradient evaluate a stack (K, n) in row blocks of
+# at most this many residual entries, so their memory does not grow as K n^2.
 STACK_ENTRIES = 1 << 20
 
 
@@ -77,6 +77,15 @@ def _points(u, ustar) -> tuple[np.ndarray, np.ndarray]:
     return u, ustar
 
 
+def _row_blocks(u: np.ndarray) -> list[np.ndarray]:
+    """Row blocks of a stack u (K, n), each of at most STACK_ENTRIES residual
+    entries; [] when u is one point or fits in one block."""
+    if u.ndim != 2:
+        return []
+    rows = max(1, STACK_ENTRIES // max(u.shape[1], 1) ** 2)
+    return [u[i:i + rows] for i in range(0, len(u), rows)] if len(u) > rows else []
+
+
 def residual(u, ustar) -> np.ndarray:
     """The symmetric residual matrix u u^T - ustar ustar^T.
 
@@ -96,11 +105,9 @@ def objective(u, ustar):
     is evaluated in row blocks of at most STACK_ENTRIES residual entries.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim == 2:
-        rows = max(1, STACK_ENTRIES // max(u.shape[1], 1) ** 2)
-        if len(u) > rows:
-            return np.concatenate([objective(u[i:i + rows], ustar)
-                                   for i in range(0, len(u), rows)])
+    blocks = _row_blocks(u)
+    if blocks:
+        return np.concatenate([objective(block, ustar) for block in blocks])
     r = residual(u, ustar)
     f = 0.5 * np.abs(r, out=r).sum(axis=(-2, -1))
     return float(f) if r.ndim == 2 else f
@@ -209,10 +216,13 @@ def subdifferential_model(u, ustar, eps_zero: float = EPS_ZERO) -> Subdifferenti
 def midpoint_subgradient(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
     """Sign(u u^T - ustar ustar^T) u with free entries set to 0, row by row.
 
-    u is one point (n,) or a stack (trials, n); ustar is (n,). The product is
-    a matmul, so a stack gives each row the bits of the single-point call.
-    The caller validates u.
+    u is one point (n,) or a stack (trials, n), taken in objective's row
+    blocks; ustar is (n,). The product is a matmul, so each row of a stack
+    has the bits of the single-point call. The caller validates u.
     """
+    blocks = _row_blocks(u)
+    if blocks:
+        return np.concatenate([midpoint_subgradient(block, ustar, eps_zero) for block in blocks])
     return (residual_pattern(u, ustar, eps_zero) @ u[..., None])[..., 0]
 
 
@@ -233,9 +243,7 @@ def finite_difference_slope(u, ustar, w, t: float) -> float:
     whenever the sign pattern of the residual is stable around u.
     """
     u, ustar = _pair(u, ustar)
-    w = as_vector(w)
-    if w.shape != u.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {w.shape}")
+    u, w = _pair(u, w)
     if not t > 0:
         raise ValueError("t must be positive")
     return (objective(u + t * w, ustar) - objective(u, ustar)) / t

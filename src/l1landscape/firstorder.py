@@ -24,7 +24,15 @@ EPS_DIR = 1e-9
 
 
 class NotStationaryError(ValueError):
-    """Raised when a cone is requested at a point that is not stationary."""
+    """Raised when an object defined at stationary points only is asked for elsewhere."""
+
+
+def _require_stationary(u, ustar, eps_zero):
+    """The closed-form verdict at a validated pair; NotStationaryError if not stationary."""
+    verdict = is_stationary_closed_form(u, ustar, eps_zero)
+    if not verdict.is_stationary:
+        raise NotStationaryError("u is not a stationary point of f")
+    return verdict
 
 
 class GroundTruthConeError(ValueError):
@@ -80,9 +88,7 @@ def directional_derivative(u, ustar, w, eps_zero: float = EPS_ZERO) -> float:
     """df(u)(w) = max over the sign boxes of <sym(S) u, w>, the support
     function SubdifferentialModel.support of the subdifferential."""
     u, ustar = _pair(u, ustar)
-    w = as_vector(w)
-    if w.size != u.size:
-        raise ValueError("direction dimension mismatch")
+    u, w = _pair(u, w)
     return subdifferential_model(u, ustar, eps_zero).support(w)
 
 
@@ -97,9 +103,7 @@ def critical_cone(u, ustar, eps_zero: float = EPS_ZERO,
     which returns the all-ZERO descriptor.
     """
     u, ustar = _pair(u, ustar)
-    verdict = is_stationary_closed_form(u, ustar, eps_zero)
-    if not verdict.is_stationary:
-        raise NotStationaryError("critical cone is defined at stationary points only")
+    verdict = _require_stationary(u, ustar, eps_zero)
     if verdict.kind in (GROUND_TRUTH_PLUS, GROUND_TRUTH_MINUS):
         if not allow_ground_truth:
             raise GroundTruthConeError(

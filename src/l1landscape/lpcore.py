@@ -51,6 +51,19 @@ class NumericalFailureError(RuntimeError):
     """An LP that should have solved did not; the message gives its reason."""
 
 
+def _box(lower, upper, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, upper, A) as float arrays (k,), (k,), (m, k) with lower <= upper;
+    each caller checks finiteness in its own one pass over all of its data."""
+    lower = np.atleast_1d(np.asarray(lower, dtype=float))
+    upper = np.atleast_1d(np.asarray(upper, dtype=float))
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or lower.shape != (a.shape[1],) or upper.shape != lower.shape:
+        raise ValueError("inconsistent problem dimensions")
+    if np.any(lower > upper):
+        raise ValueError("lower bound exceeds upper bound")
+    return lower, upper, a
+
+
 @dataclass
 class BoxEqLP:
     lower: np.ndarray      # (k,)
@@ -60,24 +73,16 @@ class BoxEqLP:
     objective: np.ndarray  # (k,), maximized
 
     def __post_init__(self):
-        self.lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        self.upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        self.eq_matrix = np.asarray(self.eq_matrix, dtype=float)
-        if self.eq_matrix.ndim != 2:
-            self.eq_matrix = self.eq_matrix.reshape(-1, self.lower.size)
+        self.lower, self.upper, self.eq_matrix = _box(self.lower, self.upper, self.eq_matrix)
         self.eq_rhs = np.atleast_1d(np.asarray(self.eq_rhs, dtype=float))
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
-        k = self.lower.size
-        m = self.eq_matrix.shape[0]
-        if self.upper.size != k or self.objective.size != k or self.eq_matrix.shape[1] != k:
+        if self.objective.size != self.lower.size:
             raise ValueError("inconsistent problem dimensions")
-        if self.eq_rhs.size != m:
+        if self.eq_rhs.size != self.eq_matrix.shape[0]:
             raise ValueError("eq_rhs length does not match eq_matrix rows")
         for arr in (self.lower, self.upper, self.eq_matrix, self.eq_rhs, self.objective):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("all problem data must be finite")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound exceeds upper bound")
 
 
 @dataclass
@@ -238,20 +243,15 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     """
     if eps_lp <= 0:
         raise ValueError("eps_lp must be positive")
-    lower = np.atleast_1d(np.asarray(lower, dtype=float))
-    upper = np.atleast_1d(np.asarray(upper, dtype=float))
-    a = np.asarray(eq_matrix, dtype=float)
-    if a.ndim != 2:
-        a = a.reshape(-1, lower.size)
+    lower, upper, a = _box(lower, upper, eq_matrix)
     m, k = a.shape
-    if lower.size != k or upper.size != k:
-        raise ValueError("bounds do not match matrix columns")
-    if np.any(lower > upper):
-        raise ValueError("empty box")
 
     start_low = np.abs(lower) <= np.abs(upper)
     x0 = np.where(start_low, lower, upper).astype(float)
     if m == 0:
+        # No row, so no t_cap: the bounds are all the data there is to check.
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("all problem data must be finite")
         return 0.0, x0, np.zeros(0)
     with np.errstate(invalid="ignore"):  # 0 * inf is nan, which the check below rejects
         row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_ZERO, _pair, as_vector, objective, subdifferential_model
-from .firstorder import EPS_DIR, NotStationaryError
+from .core import EPS_ZERO, _pair, objective, subdifferential_model
+from .firstorder import EPS_DIR, _require_stationary
 from .lpcore import EPS_LP, OPTIMAL, BoxEqLP, NumericalFailureError, solve
 from .stationarity import (
     GROUND_TRUTH_MINUS,
@@ -44,20 +44,11 @@ DELTA_W = 1e-3
 BALL_SAMPLES = 64
 
 
-def _require_stationary(u, ustar, eps_zero):
-    verdict = is_stationary_closed_form(u, ustar, eps_zero)
-    if not verdict.is_stationary:
-        raise NotStationaryError("second subderivative at v = 0 requires a stationary point")
-    return verdict
-
-
 def second_subderivative(u, ustar, w, eps_zero: float = EPS_ZERO,
                          eps_lp: float = EPS_LP) -> float:
     """d2f(u;0)(w): +inf off the critical cone, else an LP over the face."""
     u, ustar = _pair(u, ustar)
-    w = as_vector(w)
-    if w.size != u.size:
-        raise ValueError("direction dimension mismatch")
+    u, w = _pair(u, w)
     _require_stationary(u, ustar, eps_zero)
     return _second_subderivative(u, ustar, w, eps_zero, eps_lp)
 
@@ -124,7 +115,7 @@ def second_subderivative_numeric(u, ustar, w, t0: float = T0, rho: float = RHO,
     never reshuffles it, keeping the estimate monotone in both parameters.
     """
     u, ustar = _pair(u, ustar)
-    w = as_vector(w)
+    u, w = _pair(u, w)
     if delta_w is None:
         delta_w = DELTA_W * float(np.linalg.norm(w))
     f0 = objective(u, ustar)

@@ -110,9 +110,9 @@ def certify_sharp_local_min_tilted_f(ustar, u0, a, eps_zero: float = EPS_ZERO):
 
     The instance is fixed: ustar = (1, 1) and u0 one of the two spurious
     corners (-1, 1), (1, -1). There the subdifferential of f is a coordinate
-    box (each free residual entry is diagonal, touching one coordinate), so
-    the tilted subdifferential is the box shifted by -a and the certificate
-    checks that 0 is interior to both coordinate intervals.
+    box (each free residual entry is diagonal, touching one coordinate), c0 +-
+    the row sums of |M| for M = pair_matrix(). The tilted subdifferential is
+    that box shifted by -a; the certificate checks that 0 is interior to it.
     """
     ustar = as_vector(ustar)
     u0 = as_vector(u0)
@@ -127,16 +127,10 @@ def certify_sharp_local_min_tilted_f(ustar, u0, a, eps_zero: float = EPS_ZERO):
         raise ValueError("tilt must be a 2-vector")
 
     model = subdifferential_model(u0, ustar, eps_zero)
-    i, j = model.free_pairs.T
-    if np.any(i != j):
-        raise ValueError("instance has a non-diagonal free entry; "
-                         "the box description does not apply")
-    lo = model.fixed_vector().copy()
-    hi = lo.copy()
-    lo[i] -= np.abs(u0[i])   # diagonal pairs name each coordinate once
-    hi[i] += np.abs(u0[i])
-    lo -= a
-    hi -= a
+    c0 = model.fixed_vector()
+    half = np.abs(model.pair_matrix()).sum(axis=1)
+    lo = c0 - half - a
+    hi = c0 + half - a
     modulus = float(np.minimum(-lo, hi).min())
     if modulus > 0.0:
         return True, modulus

@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from l1landscape import cli, lpcore
 from l1landscape.cli import build_parser, main, parse_schedule, parse_vector
 from l1landscape.dynamics import GEOMETRIC, INV_SQRT_K
 
@@ -191,6 +193,42 @@ def test_landscape_grid_csv(capsys):
     assert lines[0].strip() == header
     assert len(lines) == 26
     assert all(line.strip().endswith(",true") for line in lines[1:])
+
+
+def test_landscape_requires_a_two_vector_ground_truth(capsys):
+    code, out, err = run_cli(capsys, "landscape", "-g", "1,1,1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: landscape sweeps a 2-d grid")
+
+
+def test_landscape_counts_disagreements_and_exits_two(capsys, monkeypatch):
+    calls = []
+    lp_certifier = cli.is_stationary_lp
+
+    def one_flipped(*args, **kwargs):
+        verdict = lp_certifier(*args, **kwargs)
+        calls.append(verdict)
+        return replace(verdict, kind="flipped") if len(calls) == 5 else verdict
+
+    monkeypatch.setattr(cli, "is_stationary_lp", one_flipped)
+    code, out, err = run_cli(capsys, "landscape", "-g", "1,1", "--nx", "3", "--ny", "3")
+    assert code == 2
+    assert len(calls) == 9
+    assert [line.endswith(",false") for line in out.split()[1:]].count(True) == 1
+    assert err == "1 grid points with certifier disagreement\n"
+
+
+def test_numerical_failure_exits_three(capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lpcore.np.linalg, "solve", singular)
+    code, out, err = run_cli(capsys, "certify", "-u", "-1,1", "-g", "1,1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numerical failure:")
+    assert "singular basis" in err
 
 
 def test_tilt_probe_escapes(capsys):

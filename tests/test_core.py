@@ -16,9 +16,10 @@ from l1landscape.core import (
     subdifferential_model,
     subgradient_select,
 )
-from l1landscape.dynamics import INV_SQRT_K, StepSchedule, run_subgradient
-from l1landscape.firstorder import growth_check
+from l1landscape.dynamics import INV_SQRT_K, StepSchedule, conjecture_probe, run_subgradient
+from l1landscape.firstorder import directional_derivative, growth_check
 from l1landscape.lpcore import feasibility_min_infinity_norm
+from l1landscape.secondorder import second_subderivative, second_subderivative_numeric
 
 vectors = st.lists(
     st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
@@ -139,24 +140,33 @@ def test_objective_blocks_a_large_stack_with_single_point_bits():
 
 
 def test_no_stacked_caller_holds_more_than_stack_entries(monkeypatch):
-    """At n = 150 a 1,024-row residual would hold 23 million entries."""
+    """At n = 150 a 1,024-row residual would hold 23 million entries, and
+    the 200 lockstep trials of a probe a sign pattern of 4.5 million."""
     assert STACK_ENTRIES == 1 << 20
-    shapes = []
-    residual = core.residual
+    shapes = {"residual": [], "residual_pattern": []}
 
-    def recording(u, ustar):
-        shapes.append(np.shape(u))
-        return residual(u, ustar)
+    def recording(name):
+        kernel = getattr(core, name)
 
-    monkeypatch.setattr(core, "residual", recording)
+        def wrapped(u, *args):
+            shapes[name].append(np.shape(u))
+            return kernel(u, *args)
+        return wrapped
+
+    for name in shapes:
+        monkeypatch.setattr(core, name, recording(name))
     rng = np.random.default_rng(21)
     ustar = rng.standard_normal(150)
     traj = run_subgradient(rng.standard_normal(150), ustar, StepSchedule(INV_SQRT_K, 0.1),
                            max_iters=1500, stop_tol=0.0)
     assert len(traj) == 1501
     growth_check(ustar, 0.05, samples=1000)
-    assert sum(math.prod(s[:-1]) for s in shapes) == 1501 + 1000 + 1   # + f(ustar)
-    assert max(math.prod(s) * s[-1] for s in shapes) <= 1 << 20
+    report = conjecture_probe(ustar, trials=200, max_iters=3)
+    assert report.final_points.shape == (200, 150)
+    rows = {name: sum(math.prod(s[:-1]) for s in found) for name, found in shapes.items()}
+    assert rows == {"residual": 1501 + 1000 + 1,             # + f(ustar)
+                    "residual_pattern": 1500 + 3 * 200}
+    assert max(math.prod(s) * s[-1] for found in shapes.values() for s in found) <= 1 << 20
 
 
 def test_as_vector_rejects_bad_input():
@@ -168,6 +178,14 @@ def test_as_vector_rejects_bad_input():
         finite_difference_slope([1.0], [1.0], [1.0], 0.0)
     with pytest.raises(ValueError):
         objective([1.0, 2.0], [1.0])
+    # a direction of another size than u = (-1, 1); the size-1 one would
+    # broadcast if it were not checked
+    for w in ([2.0], [1.0, 0.0, 0.0]):
+        for estimate in (lambda u, ustar, w: finite_difference_slope(u, ustar, w, 1e-3),
+                         directional_derivative, second_subderivative,
+                         second_subderivative_numeric):
+            with pytest.raises(ValueError, match=r"dimension mismatch: \(2,\) vs"):
+                estimate([-1.0, 1.0], [1.0, 1.0], w)
 
 
 @given(

@@ -124,6 +124,15 @@ def test_validation_errors():
         BoxEqLP([0.0], [np.inf], np.zeros((0, 1)), [], [1.0])
     with pytest.raises(ValueError):
         solve(BoxEqLP([-1.0], [1.0], np.zeros((0, 1)), [], [1.0]), eps_lp=0.0)
+    # BoxEqLP and feasibility_min_infinity_norm share one box contract: A is
+    # 2-D, the bounds match its columns, and the box is nonempty
+    for lower, upper, a, message in (([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], "dimensions"),
+                                     ([0.0], [1.0, 1.0], [[1.0, 1.0]], "dimensions"),
+                                     ([1.0], [0.0], [[1.0]], "lower bound exceeds")):
+        with pytest.raises(ValueError, match=message):
+            BoxEqLP(lower, upper, a, [0.0], [0.0] * len(lower))
+        with pytest.raises(ValueError, match=message):
+            feasibility_min_infinity_norm(lower, upper, a)
     # Both presolve exits, all fixed and no movable row, return before any
     # solve; they must still reject a nonpositive eps_lp.
     for lower, upper, a in (([0.5, 0.2], [0.5, 0.2], [[1.0, 2.0]]),
@@ -138,6 +147,8 @@ def test_validation_errors():
     ([np.inf], [np.inf], [[1.0]]),     # presolve: all fixed
     ([-1.0], [1.0], [[np.nan]]),       # simplex path
     ([0.0], [0.0], [[np.inf]]),        # 0 * inf: the error, not numpy's warning
+    ([np.nan], [1.0], np.zeros((0, 1))),   # no rows
+    ([-np.inf], [1.0], np.zeros((0, 1))),  # no rows
 ])
 def test_min_infinity_norm_rejects_non_finite_data(lower, upper, a):
     # the presolve exits answer with the simplex path's error, not nan or inf

@@ -1,13 +1,18 @@
-"""Source hygiene of src/l1landscape, read with ast alone.
+"""Source hygiene of src/l1landscape and scripts/, read with ast.
 
-A module other than __init__.py imports no name it never uses, and every
-module-level _private name is referenced by some module of the package.
+A module other than __init__.py imports no name it never uses, every
+module-level _private name is referenced by some module of the package,
+and every name a script imports from the package exists; the scripts are
+parsed, never run.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "l1landscape"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "l1landscape"
+SCRIPTS = ROOT / "scripts"
 
 
 def parse_package():
@@ -68,6 +73,28 @@ def test_every_private_name_is_referenced():
     assert {name: found for name, found in orphans.items() if found} == {}
 
 
+def package_imports(tree):
+    """(module, name) for every name the tree imports from l1landscape."""
+    return {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "l1landscape"
+            for alias in node.names}
+
+
+def missing_names(imports):
+    return sorted(f"{module}.{name}" for module, name in imports
+                  if not hasattr(importlib.import_module(module), name))
+
+
+def test_every_name_a_script_imports_from_the_package_exists():
+    scripts = sorted(SCRIPTS.glob("*.py"))
+    imports = {path.name: package_imports(ast.parse(path.read_text(), filename=str(path)))
+               for path in scripts}
+    assert scripts and all(imports.values())
+    missing = {name: missing_names(found) for name, found in imports.items()}
+    assert {name: found for name, found in missing.items() if found} == {}
+
+
 def test_the_checks_see_an_unused_import_and_an_orphan():
     tree = ast.parse("from .core import objective, sign_scalar\n"
                      "import numpy as np\n"
@@ -75,3 +102,6 @@ def test_the_checks_see_an_unused_import_and_an_orphan():
                      "    return objective\n")
     assert imported_names(tree) - loaded_names(tree) == {"sign_scalar", "np"}
     assert private_definitions(tree) - referenced_names(tree) == {"_orphan"}
+    script = ast.parse("from l1landscape.core import objective, gone\n"
+                       "from .local import helper\n")
+    assert missing_names(package_imports(script)) == ["l1landscape.core.gone"]
