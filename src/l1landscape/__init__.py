@@ -3,7 +3,6 @@
 from .core import (
     EPS_ZERO,
     SubdifferentialModel,
-    finite_difference_slope,
     objective,
     residual_pattern,
     subdifferential_model,
@@ -20,7 +19,6 @@ from .dynamics import (
 )
 from .firstorder import (
     CriticalConeDescriptor,
-    cone_membership,
     critical_cone,
     directional_derivative,
     growth_check,
@@ -32,7 +30,6 @@ from .secondorder import (
     classify_point,
     escape_curvature,
     second_subderivative,
-    second_subderivative_numeric,
 )
 from .stationarity import (
     StationarityVerdict,

@@ -11,17 +11,15 @@ for a planted vector ustar. Its subdifferential has the explicit form
 where Sign acts entrywise and maps 0 to the interval [-1, 1]. This module
 provides the objective, the zero-band sign of the residual matrix (the one
 kernel the subdifferential model and the midpoint subgradient are read
-from), the midpoint subgradient shared by single and batched runs, and a
-secant-slope helper used to validate directional derivatives numerically.
+from), and the midpoint subgradient shared by single and batched runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .lpcore import EPS_LP
 
 # Residual entries with |r_ij| <= EPS_ZERO are classified as exact zeros.
 EPS_ZERO = 1e-9
@@ -47,21 +45,6 @@ def _pair(u, ustar) -> tuple[np.ndarray, np.ndarray]:
     if u.shape != ustar.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {ustar.shape}")
     return u, ustar
-
-
-def sign_scalar(x: float, eps: float = 0.0) -> int:
-    """Sign in {-1, 0, +1} with a zero band of half-width eps.
-
-    For nonzero arguments this satisfies the product rule
-    sign_scalar(x * y) == sign_scalar(x) * sign_scalar(y) (eps = 0), which is
-    what makes the entrywise sign of u u^T - ustar ustar^T factor through the
-    signs of the coordinates.
-    """
-    if x > eps:
-        return 1
-    if x < -eps:
-        return -1
-    return 0
 
 
 def _points(u, ustar) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +103,8 @@ def residual_pattern(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
     or a stack (trials, n); ustar is (n,). The signs are built in place in
     one (n, n) or (trials, n, n) array. The caller validates u and ustar.
     """
-    if eps_zero <= 0:
-        raise ValueError("eps_zero must be positive")
+    if not 0 < eps_zero < math.inf:
+        raise ValueError("eps_zero must be positive and finite")
     u = np.asarray(u, dtype=float)
     s = u[..., :, None] * u[..., None, :]
     s -= np.outer(ustar, ustar)
@@ -181,19 +164,6 @@ class SubdifferentialModel:
         s[j, i] = v
         return s
 
-    def contains(self, q, eps_lp: float = EPS_LP) -> bool:
-        """Whether q lies in the second-order face: symmetric, inside the
-        sign boxes, and annihilating base_point, each up to eps_lp."""
-        q = np.asarray(q, dtype=float)
-        if not np.allclose(q, q.T, atol=eps_lp):
-            return False
-        free = self.fixed_sign == 0
-        if np.abs(np.where(free, 0.0, q - self.fixed_sign)).max() > eps_lp:
-            return False
-        if np.abs(q[free]).max(initial=0.0) > 1.0 + eps_lp:
-            return False
-        return float(np.abs(q @ self.base_point).max()) <= eps_lp
-
     def support(self, w) -> float:
         """df(u)(w) = max over the set of <S u, w>.
 
@@ -234,16 +204,3 @@ def subgradient_select(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
     """
     u, ustar = _pair(u, ustar)
     return midpoint_subgradient(u, ustar, eps_zero)
-
-
-def finite_difference_slope(u, ustar, w, t: float) -> float:
-    """Secant slope (f(u + t w) - f(u)) / t for t > 0.
-
-    As t decreases this converges to the directional derivative df(u)(w)
-    whenever the sign pattern of the residual is stable around u.
-    """
-    u, ustar = _pair(u, ustar)
-    u, w = _pair(u, w)
-    if not t > 0:
-        raise ValueError("t must be positive")
-    return (objective(u + t * w, ustar) - objective(u, ustar)) / t

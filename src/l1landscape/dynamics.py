@@ -54,8 +54,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in (INV_K, INV_SQRT_K, GEOMETRIC):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.c > 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
         if self.kind == GEOMETRIC:
             if self.q is None or not 0.0 < self.q < 1.0:
                 raise ValueError("geometric schedule needs q in (0, 1)")

@@ -9,6 +9,7 @@ the extreme of every free box independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,6 @@ def critical_cone(u, ustar, eps_zero: float = EPS_ZERO,
     return CriticalConeDescriptor(tuple(kinds.tolist()), tuple(signs.tolist()))
 
 
-def cone_membership(u, ustar, w, eps_zero: float = EPS_ZERO,
-                    allow_ground_truth: bool = False) -> bool:
-    cone = critical_cone(u, ustar, eps_zero, allow_ground_truth)
-    return cone.contains(w)
-
-
 def sharpness_coefficient(ustar) -> float:
     """Coefficient of the l1 sharpness bound df(ustar)(w) >= coeff * ||w||_1."""
     ustar = as_vector(ustar)
@@ -155,8 +150,8 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
     margin below the first-order rate.
     """
     ustar = as_vector(ustar)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     beta = 0.5 * sharpness_coefficient(ustar)

@@ -171,8 +171,8 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     closed form: each variable sits at the bound its cost points to, and at
     its start where the cost is within the reduced-cost tolerance of 0.
     """
-    if eps_lp <= 0:
-        raise ValueError("eps_lp must be positive")
+    if not 0 < eps_lp < math.inf:
+        raise ValueError("eps_lp must be positive and finite")
     a = lp.eq_matrix
     b = lp.eq_rhs
     m, k = a.shape
@@ -241,8 +241,8 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     in linear programming", Math. Programming 71, 1995), and
     w = sign(r_i) e_i for the first i maximizing |r_i|, r = A x0.
     """
-    if eps_lp <= 0:
-        raise ValueError("eps_lp must be positive")
+    if not 0 < eps_lp < math.inf:
+        raise ValueError("eps_lp must be positive and finite")
     lower, upper, a = _box(lower, upper, eq_matrix)
     m, k = a.shape
 

@@ -8,9 +8,7 @@ off the critical cone and otherwise equals
 where Q(u) collects the symmetric matrices inside the residual sign boxes
 that annihilate u. At a spurious point the face is (on the support of ustar)
 the singleton -Sign(ustar ustar^T), which gives the escape value
--||ustar||_1^2 along w = +-ustar - u. The numeric estimator approximates the
-liminf defining the subderivative directly from objective values and is used
-to cross-check the linear-programming route.
+-||ustar||_1^2 along w = +-ustar - u.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_ZERO, _pair, objective, subdifferential_model
+from .core import EPS_ZERO, _pair, subdifferential_model
 from .firstorder import EPS_DIR, _require_stationary
 from .lpcore import EPS_LP, OPTIMAL, BoxEqLP, NumericalFailureError, solve
 from .stationarity import (
@@ -34,14 +32,6 @@ from .stationarity import (
 
 GLOBAL_MIN = "global_min"
 SPURIOUS_STATIONARY = "spurious_stationary"
-
-# Numeric estimator defaults: geometric t-ladder and a ball around the
-# direction whose radius shrinks with t (the liminf ranges over w' -> w).
-T0 = 1e-2
-RHO = 0.5
-K_MAX = 12
-DELTA_W = 1e-3
-BALL_SAMPLES = 64
 
 
 def second_subderivative(u, ustar, w, eps_zero: float = EPS_ZERO,
@@ -100,38 +90,6 @@ def _escape_curvature(u, ustar, eps_zero, eps_lp):
         raise ArithmeticError(
             f"curvature {value} disagrees with -||ustar||_1^2 = {expected}")
     return w, value
-
-
-def second_subderivative_numeric(u, ustar, w, t0: float = T0, rho: float = RHO,
-                                 k_max: int = K_MAX, delta_w: float | None = None,
-                                 ball_samples: int = BALL_SAMPLES,
-                                 seed: int = 0) -> float:
-    """Grid estimate of liminf [f(u + t w') - f(u)] / (t^2 / 2).
-
-    For each t = t0 * rho^k the direction cloud is w itself plus
-    ball_samples points uniform in the ball of radius delta_w * t around w;
-    the estimate is the minimum quotient over the whole grid. Sample draws
-    are keyed by k so enlarging k_max or ball_samples only extends the grid,
-    never reshuffles it, keeping the estimate monotone in both parameters.
-    """
-    u, ustar = _pair(u, ustar)
-    u, w = _pair(u, w)
-    if delta_w is None:
-        delta_w = DELTA_W * float(np.linalg.norm(w))
-    f0 = objective(u, ustar)
-    best = math.inf
-    for k in range(k_max + 1):
-        t = t0 * rho ** k
-        rng = np.random.default_rng([seed, k])
-        cloud = [w]
-        for _ in range(ball_samples):
-            g = rng.standard_normal(w.size)
-            norm = float(np.linalg.norm(g))
-            radius = delta_w * t * rng.uniform() ** (1.0 / max(w.size, 1))
-            cloud.append(w if norm == 0.0 else w + radius * g / norm)
-        quotients = (objective(u + t * np.array(cloud), ustar) - f0) / (0.5 * t * t)
-        best = min(best, float(quotients.min()))
-    return best
 
 
 @dataclass

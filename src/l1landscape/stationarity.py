@@ -51,6 +51,8 @@ def _stationary_kind(u, ustar, eps_zero):
 
 def is_stationary_closed_form(u, ustar, eps_zero: float = EPS_ZERO) -> StationarityVerdict:
     """Certify stationarity from the closed-form description of the set."""
+    if not 0 < eps_zero < math.inf:
+        raise ValueError("eps_zero must be positive and finite")
     u, ustar = _pair(u, ustar)
     kind = _stationary_kind(u, ustar, eps_zero)
     if kind != SPURIOUS:

@@ -1,0 +1,89 @@
+"""Numeric and brute-force oracles that check the library from outside.
+
+f and the residual are computed here with their own numpy expressions. The
+only library name used is subdifferential_model, whose free sign pairs the
+support-function enumeration runs over.
+"""
+
+import math
+from itertools import product
+
+import numpy as np
+
+from l1landscape.core import subdifferential_model
+
+
+def _f(u, ustar):
+    return 0.5 * float(np.abs(np.outer(u, u) - np.outer(ustar, ustar)).sum())
+
+
+def secant_slope(u, ustar, w, t):
+    """(f(u + t w) - f(u)) / t, which tends to df(u)(w) as t decreases."""
+    u, ustar, w = (np.asarray(x, dtype=float) for x in (u, ustar, w))
+    return (_f(u + t * w, ustar) - _f(u, ustar)) / t
+
+
+def second_subderivative_grid(u, ustar, w, t0=1e-2, rho=0.5, k_max=12, delta_w=None,
+                              ball_samples=64, seed=0):
+    """Grid estimate of the liminf of [f(u + t w') - f(u)] / (t^2 / 2).
+
+    For each t = t0 * rho^k the directions are w and ball_samples points
+    uniform in the ball of radius delta_w * t around w (delta_w defaults to
+    1e-3 ||w||). Draws are keyed by k, so a larger k_max or ball_samples
+    only adds quotients and the minimum cannot increase.
+    """
+    u, ustar, w = (np.asarray(x, dtype=float) for x in (u, ustar, w))
+    if delta_w is None:
+        delta_w = 1e-3 * float(np.linalg.norm(w))
+    f0 = _f(u, ustar)
+    best = math.inf
+    for k in range(k_max + 1):
+        t = t0 * rho ** k
+        rng = np.random.default_rng([seed, k])
+        cloud = [w]
+        for _ in range(ball_samples):
+            g = rng.standard_normal(w.size)
+            norm = float(np.linalg.norm(g))
+            radius = delta_w * t * rng.uniform() ** (1.0 / max(w.size, 1))
+            cloud.append(w if norm == 0.0 else w + radius * g / norm)
+        for wp in cloud:
+            best = min(best, (_f(u + t * wp, ustar) - f0) / (0.5 * t * t))
+    return best
+
+
+def enumerate_support_value(u, ustar, w):
+    """max <sym(S) u, w> over every extreme sign matrix, built explicitly."""
+    model = subdifferential_model(u, ustar)
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=float)
+    best = -np.inf
+    for signs in product((-1.0, 1.0), repeat=len(model.free_pairs)):
+        best = max(best, float((model.assemble(signs) @ u) @ w))
+    return best
+
+
+def in_face(model, q, eps=1e-9):
+    """Whether q lies in the second-order face of the model: symmetric,
+    inside the sign boxes, and annihilating the base point, each up to eps."""
+    q = np.asarray(q, dtype=float)
+    free = model.fixed_sign == 0
+    return (np.allclose(q, q.T, atol=eps)
+            and np.abs(np.where(free, 0.0, q - model.fixed_sign)).max() <= eps
+            and np.abs(q[free]).max(initial=0.0) <= 1.0 + eps
+            and float(np.abs(q @ model.base_point).max()) <= eps)
+
+
+def pattern_is_ambiguous(u, ustar, band=(1e-10, 1e-8)):
+    """True when a quantity one certifier or the other thresholds sits in
+    the band: a residual entry, a box gap, the hyperplane offset, an
+    off-support coordinate, or the distance to either ground truth. Such a
+    point can flip one route without either being wrong."""
+    u = np.asarray(u, dtype=float)
+    ustar = np.asarray(ustar, dtype=float)
+    s = np.sign(ustar)
+    vals = np.concatenate([np.abs(np.outer(u, u) - np.outer(ustar, ustar)).ravel(),
+                           np.abs(np.abs(u) - np.abs(ustar)),
+                           [abs(float(s @ u))],
+                           np.abs(u[s == 0]),
+                           [np.abs(u - ustar).max(), np.abs(u + ustar).max()]])
+    return bool(np.any((vals > band[0]) & (vals < band[1])))

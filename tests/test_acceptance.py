@@ -7,29 +7,19 @@ rather than asserting a target fraction.
 """
 
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
-from l1landscape.core import (
-    finite_difference_slope,
-    objective,
-    residual,
-    sign_scalar,
-    subdifferential_model,
-)
+from l1landscape.core import objective, residual
 from l1landscape.dynamics import INV_SQRT_K, StepSchedule, conjecture_probe
 from l1landscape.firstorder import (
-    cone_membership,
+    critical_cone,
     directional_derivative,
     growth_check,
     sharpness_coefficient,
 )
-from l1landscape.secondorder import (
-    second_subderivative,
-    second_subderivative_numeric,
-)
+from l1landscape.secondorder import second_subderivative
 from l1landscape.stationarity import (
     expected_gaussian_separation,
     gaussian_separation,
@@ -41,6 +31,12 @@ from l1landscape.tilting import (
     certify_sharp_local_min_1d,
     certify_sharp_local_min_tilted_f,
     tilt_divergence_probe_ex41,
+)
+from oracles import (
+    enumerate_support_value,
+    pattern_is_ambiguous,
+    second_subderivative_grid,
+    secant_slope,
 )
 
 
@@ -55,31 +51,6 @@ def _random_ustar(rng, n):
     ustar = rng.standard_normal(n)
     ustar[np.abs(ustar) < 0.05] = 0.25
     return ustar
-
-
-def _ambiguous(u, ustar, band=(1e-10, 1e-8)):
-    """True when a quantity the certifiers threshold sits inside the band.
-
-    Residual entries, box gaps, the hyperplane offset, off-support
-    coordinates, and the distances to both signed ground truths all feed one
-    certifier or the other; a value between the band edges can flip a single
-    route without either being wrong, so such points are excluded from the
-    agreement count.
-    """
-    lo, hi = band
-    u = np.asarray(u, dtype=float)
-    ustar = np.asarray(ustar, dtype=float)
-    s = np.array([sign_scalar(v) for v in ustar], dtype=float)
-    checks = [np.abs(residual(u, ustar)).ravel(),
-              np.abs(np.abs(u) - np.abs(ustar)),
-              np.atleast_1d(abs(float(s @ u)))]
-    off = np.abs(u[s == 0])
-    if off.size:
-        checks.append(off)
-    checks.append(np.atleast_1d(np.abs(u - ustar).max()))
-    checks.append(np.atleast_1d(np.abs(u + ustar).max()))
-    vals = np.concatenate(checks)
-    return bool(np.any((vals > lo) & (vals < hi)))
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +85,7 @@ def test_criterion_01_certifier_agreement():
                 s = 1.0 if rng.uniform() < 0.5 else -1.0
                 scale = 10.0 ** rng.uniform(-12.0, -2.0)
                 u = s * ustar + scale * rng.standard_normal(n)
-            if _ambiguous(u, ustar):
+            if pattern_is_ambiguous(u, ustar):
                 excluded += 1
                 continue
             a = is_stationary_closed_form(u, ustar)
@@ -158,22 +129,10 @@ def test_criterion_04_descent_directions_in_cone(spurious_corpus):
             w = s * ustar - u
             if directional_derivative(u, ustar, w) > 1e-9:
                 failures += 1
-            if not cone_membership(u, ustar, w):
+            if not critical_cone(u, ustar).contains(w):
                 failures += 1
     ok = failures == 0
     assert _criterion(4, ok, f"{len(spurious_corpus)} points, {failures} failures")
-
-
-def _enumerate_support_value(u, ustar, w):
-    """max <sym(S) u, w> over every extreme sign matrix, built explicitly."""
-    model = subdifferential_model(u, ustar)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    best = -np.inf
-    for signs in product((-1.0, 1.0), repeat=len(model.free_pairs)):
-        s = model.assemble(signs)
-        best = max(best, float((s @ u) @ w))
-    return best
 
 
 def test_criterion_05_sharpness_bound_and_enumeration():
@@ -195,7 +154,7 @@ def test_criterion_05_sharpness_bound_and_enumeration():
         ustar = rng.integers(-8, 9, n) / 4.0
         w = rng.integers(-8, 9, n) / 4.0
         value = directional_derivative(ustar, ustar, w)
-        if value != _enumerate_support_value(ustar, ustar, w):
+        if value != enumerate_support_value(ustar, ustar, w):
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = worst >= -1e-12 and mismatches == 0
@@ -223,10 +182,10 @@ def test_criterion_07_local_growth():
 
 def test_criterion_08_numeric_curvature_defaults():
     start = time.perf_counter()
-    low = second_subderivative_numeric((-1.0, 1.0), (1.0, 1.0), (2.0, 0.0))
+    low = second_subderivative_grid((-1.0, 1.0), (1.0, 1.0), (2.0, 0.0))
     t_low = time.perf_counter() - start
     start = time.perf_counter()
-    high = second_subderivative_numeric((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+    high = second_subderivative_grid((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     t_high = time.perf_counter() - start
     ok = (abs(low + 4.0) <= 0.05 * 4.0 and abs(high - 1.0) <= 0.05
           and t_low < 5.0 and t_high < 5.0)
@@ -322,7 +281,7 @@ def test_criterion_13_finite_difference_consistency():
         slope_limit = directional_derivative(u, ustar, w)
         c = 0.5 * float(np.abs(w).sum()) ** 2 + 0.05 * (1.0 + objective(u, ustar))
         for t in t_values:
-            err = abs(finite_difference_slope(u, ustar, w, t) - slope_limit)
+            err = abs(secant_slope(u, ustar, w, t) - slope_limit)
             if err > c * t:
                 failures += 1
     ok = failures == 0

@@ -94,13 +94,22 @@ def test_certify_rejects_malformed_vector(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("command", ["certify -u 0.5,0.2 -g 1,1",
-                                     "landscape -g 1,1 --nx 3 --ny 3"])
-def test_nonpositive_eps_lp_exits_one(capsys, command):
-    """Points whose LP is presolved still reject eps_lp <= 0."""
-    code, _, err = run_cli(capsys, *command.split(), "--eps-lp=-1")
+EPS_COMMANDS = ("certify -u 0.5,0.2 -g 1,1", "landscape -g 1,1 --nx 3 --ny 3")
+
+
+@pytest.mark.parametrize("command,tolerance", [
+    *(pytest.param(command, "--eps-lp=-1", id=command) for command in EPS_COMMANDS),
+    *((command, f"{flag}={value}") for command in EPS_COMMANDS
+      for flag in ("--eps-lp", "--eps-zero") for value in ("nan", "inf")),
+])
+def test_nonpositive_eps_lp_exits_one(capsys, command, tolerance):
+    """Points whose LP is presolved still reject eps_lp <= 0, and neither
+    tolerance may be NaN or infinite."""
+    code, out, err = run_cli(capsys, *command.split(), tolerance)
     assert code == 1
-    assert "eps_lp must be positive" in err
+    assert out == ""
+    name = tolerance.split("=")[0][2:].replace("-", "_")
+    assert f"{name} must be positive" in err
 
 
 def test_flow_svg_arrow_count(tmp_path, capsys):
@@ -310,6 +319,9 @@ def test_config_null_is_unset(tmp_path, capsys):
 @pytest.mark.parametrize("command,message", [
     ("growth-check -g 1,1 --samples -3", "samples must be nonnegative"),
     ("conjecture -g 1,1 --trials 2 --max-iters -4", "max_iters must be nonnegative"),
+    ("growth-check -g 1,1 --radius nan", "radius must be positive"),
+    ("growth-check -g 1,1 --radius inf", "radius must be positive"),
+    ("descend -g 1,1 --schedule inv_sqrt_k:inf", "c must be positive"),
 ])
 def test_negative_counts_exit_one(capsys, command, message):
     code, out, err = run_cli(capsys, *command.split())

@@ -53,8 +53,9 @@ def test_schedule_values_and_flags():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        StepSchedule(INV_K, 0.0)
+    for c in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be positive"):
+            StepSchedule(INV_K, c)
     with pytest.raises(ValueError):
         StepSchedule(GEOMETRIC, 1.0)
     with pytest.raises(ValueError):

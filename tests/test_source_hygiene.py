@@ -2,8 +2,10 @@
 
 A module other than __init__.py imports no name it never uses, every
 module-level _private name is referenced by some module of the package,
-and every name a script imports from the package exists; the scripts are
-parsed, never run.
+every name a script imports from the package exists (the scripts are
+parsed, never run), and the test oracles in tests/oracles.py take nothing
+from the package but subdifferential_model while no library module imports
+them.
 """
 
 import ast
@@ -93,6 +95,14 @@ def test_every_name_a_script_imports_from_the_package_exists():
     assert scripts and all(imports.values())
     missing = {name: missing_names(found) for name, found in imports.items()}
     assert {name: found for name, found in missing.items() if found} == {}
+
+
+def test_oracles_stay_outside_the_library():
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    assert package_imports(oracles) == {("l1landscape.core", "subdifferential_model")}
+    imports = [ast.unparse(node) for tree in parse_package().values()
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert [line for line in imports if "oracles" in line] == []
 
 
 def test_the_checks_see_an_unused_import_and_an_orphan():

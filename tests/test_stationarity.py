@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l1landscape import lpcore, stationarity
-from l1landscape.core import residual, sign_scalar, subdifferential_model
+from l1landscape.core import subdifferential_model
 from l1landscape.lpcore import NumericalFailureError
 from l1landscape.stationarity import (
     GROUND_TRUTH_MINUS,
@@ -20,31 +20,9 @@ from l1landscape.stationarity import (
     is_stationary_lp,
     project_to_spurious_set,
 )
+from oracles import pattern_is_ambiguous
 
 BOTH = (is_stationary_closed_form, is_stationary_lp)
-
-
-def pattern_is_ambiguous(u, ustar, band=(1e-10, 1e-8)):
-    """True when some classification quantity sits near the zero tolerance.
-
-    The two certifiers threshold slightly different quantities, so points
-    whose residual entries, bound gaps, or hyperplane offset fall inside the
-    band around eps_zero can be tagged differently without either being
-    wrong. Exact zeros and clearly nonzero values are unambiguous.
-    """
-    lo, hi = band
-    u = np.asarray(u, dtype=float)
-    ustar = np.asarray(ustar, dtype=float)
-    s = np.array([sign_scalar(v) for v in ustar], dtype=float)
-    checks = [np.abs(residual(u, ustar)).ravel(), np.abs(np.abs(u) - np.abs(ustar))]
-    checks.append(np.atleast_1d(abs(float(s @ u))))
-    off = np.abs(u[s == 0])
-    if off.size:
-        checks.append(off)
-    checks.append(np.atleast_1d(np.abs(u - ustar).max()))
-    checks.append(np.atleast_1d(np.abs(u + ustar).max()))
-    vals = np.concatenate(checks)
-    return bool(np.any((vals > lo) & (vals < hi)))
 
 
 def test_spurious_point_certified_by_both_routes():
@@ -250,6 +228,13 @@ def test_stacked_projection_validates_its_input():
             project_to_spurious_set(bad, [1.0, 1.0])
     with pytest.raises(ValueError):
         project_to_spurious_set(np.ones((3, 2)), [0.0, 0.0])
+
+
+def test_certifiers_reject_a_zero_band_that_is_not_positive_and_finite():
+    for eps in (0.0, -1.0, math.nan, math.inf):
+        for cert in BOTH:
+            with pytest.raises(ValueError, match="eps_zero must be positive"):
+                cert([-1.0, 1.0], [1.0, 1.0], eps_zero=eps)
 
 
 def test_zero_ground_truth_corner():
