@@ -5,12 +5,13 @@ consistency failure (the two stationarity certifiers disagree), 3 numerical
 failure inside the LP machinery.
 
 Each invocation builds one options map: a flag that was set wins over the
-same key in the --config JSON object, and a JSON null counts as unset. An
+same key in the --config JSON object, and a JSON null counts as unset. A
+config key that names no option of the subcommand is a usage error. An
 option left unset is not passed on, so the library function applies its own
-default (GridSpec's grid, conjecture_probe's trial count, the certifiers'
-eps_zero and eps_lp, which certify and landscape accept as --eps-zero and
---eps-lp). Defaults are set here only where the library has none or the
-output echoes the value.
+default (GridSpec's grid, conjecture_probe's trial count). Defaults are set
+here only where the library has none or the output echoes the value. The
+numerical tolerances are constants of the library (core.EPS_ZERO,
+lpcore.EPS_LP, firstorder.EPS_DIR), not options.
 """
 
 from __future__ import annotations
@@ -87,13 +88,17 @@ def parse_schedule(text) -> StepSchedule:
 
 def _options(args) -> dict:
     """The --config object overlaid with the flags that were set; a JSON
-    null, like an unset flag, leaves the key out."""
+    null, like an unset flag, leaves the key out. A config key the
+    subcommand has no option for is an error."""
     config = {}
     if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ValueError("config file must hold a JSON object")
+    unknown = sorted(config.keys() - vars(args).keys())
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0].replace('_', '-')!r}")
     return {key: value for layer in (config, vars(args))
             for key, value in layer.items() if value is not None}
 
@@ -146,22 +151,14 @@ def _vec(u) -> list:
 # ---------------------------------------------------------------- commands
 
 
-def _tolerances(opts: dict) -> tuple[dict, dict]:
-    """The given tolerances as keyword arguments: eps_zero for the closed
-    form, eps_zero and eps_lp for the LP certifier and the classifier."""
-    zero = _given(opts, eps_zero=float)
-    return zero, {**zero, **_given(opts, eps_lp=float)}
-
-
 def cmd_certify(opts: dict) -> int:
     u = _require(opts, "point", parse_vector)
     g = _require(opts, "ground_truth", parse_vector)
-    zero, eps = _tolerances(opts)
 
-    cf = is_stationary_closed_form(u, g, **zero)
-    lp = is_stationary_lp(u, g, **eps)
+    cf = is_stationary_closed_form(u, g)
+    lp = is_stationary_lp(u, g)
     agree = _certifiers_agree(cf, lp)
-    cls = classify_point(u, g, **eps)
+    cls = classify_point(u, g)
 
     payload = {
         "point": _vec(u),
@@ -309,7 +306,6 @@ def cmd_landscape(opts: dict) -> int:
     g = _require(opts, "ground_truth", parse_vector)
     if g.size != 2:
         raise ValueError("landscape sweeps a 2-d grid; ground truth must be a 2-vector")
-    zero, eps = _tolerances(opts)
     grid = _grid_from(opts)
 
     buf = io.StringIO()
@@ -318,8 +314,8 @@ def cmd_landscape(opts: dict) -> int:
                      "stationary_lp", "kind_lp", "agree"])
     disagreements = 0
     for u in grid.points():
-        cf = is_stationary_closed_form(u, g, **zero)
-        lp = is_stationary_lp(u, g, **eps)
+        cf = is_stationary_closed_form(u, g)
+        lp = is_stationary_lp(u, g)
         agree = _certifiers_agree(cf, lp)
         disagreements += 0 if agree else 1
         writer.writerow([f"{u[0]:.17g}", f"{u[1]:.17g}",
@@ -390,9 +386,6 @@ def _add_common(p, *names):
         p.add_argument("-s", "--seed", dest="seed", type=int)
     if "out" in names:
         p.add_argument("-o", "--out", dest="out", help="output path (default stdout)")
-    if "eps" in names:
-        p.add_argument("--eps-zero", dest="eps_zero", type=float)
-        p.add_argument("--eps-lp", dest="eps_lp", type=float)
     if "schedule" in names:
         p.add_argument("--schedule", dest="schedule",
                        help="step schedule kind:c[:q], e.g. inv_sqrt_k:0.1")
@@ -416,7 +409,7 @@ def build_parser() -> _Parser:
 
     p = commands.add_parser("certify", help="run both stationarity certifiers "
                                             "and the point classifier")
-    _add_common(p, "point", "ground_truth", "out", "eps")
+    _add_common(p, "point", "ground_truth", "out")
     p.set_defaults(func=cmd_certify)
 
     p = commands.add_parser("flow", help="negative subgradient field as SVG")
@@ -452,7 +445,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_growth_check)
 
     p = commands.add_parser("landscape", help="batch certify over a grid, CSV")
-    _add_common(p, "ground_truth", "out", "eps", "grid")
+    _add_common(p, "ground_truth", "out", "grid")
     p.set_defaults(func=cmd_landscape)
 
     p = commands.add_parser("tilt", help="tilt counterexample experiments")

@@ -12,16 +12,20 @@ where Sign acts entrywise and maps 0 to the interval [-1, 1]. This module
 provides the objective, the zero-band sign of the residual matrix (the one
 kernel the subdifferential model and the midpoint subgradient are read
 from), and the midpoint subgradient shared by single and batched runs.
+
+The zero band EPS_ZERO is a module constant, not a parameter: every caller
+in the package reads the one value, so a sign pattern, a certificate and a
+classification of the same point always see the same zeros.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Residual entries with |r_ij| <= EPS_ZERO are classified as exact zeros.
+# Residual entries with |r_ij| <= EPS_ZERO are classified as exact zeros; the
+# certifiers use the same band on coordinates and on the stationary plane.
 EPS_ZERO = 1e-9
 
 # objective and midpoint_subgradient evaluate a stack (K, n) in row blocks of
@@ -96,19 +100,17 @@ def objective(u, ustar):
     return float(f) if r.ndim == 2 else f
 
 
-def residual_pattern(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
+def residual_pattern(u, ustar) -> np.ndarray:
     """Sign(u u^T - ustar ustar^T) as floats in {-1, 0, +1}.
 
-    Residual entries with |r_ij| <= eps_zero count as 0. u is one point (n,)
+    Residual entries with |r_ij| <= EPS_ZERO count as 0. u is one point (n,)
     or a stack (trials, n); ustar is (n,). The signs are built in place in
     one (n, n) or (trials, n, n) array. The caller validates u and ustar.
     """
-    if not 0 < eps_zero < math.inf:
-        raise ValueError("eps_zero must be positive and finite")
     u = np.asarray(u, dtype=float)
     s = u[..., :, None] * u[..., None, :]
     s -= np.outer(ustar, ustar)
-    zero = np.abs(s) <= eps_zero
+    zero = np.abs(s) <= EPS_ZERO
     np.sign(s, out=s)
     s[zero] = 0.0
     return s
@@ -175,15 +177,15 @@ class SubdifferentialModel:
         return float(self.fixed_vector() @ w) + float(np.abs(self.pair_matrix().T @ w).sum())
 
 
-def subdifferential_model(u, ustar, eps_zero: float = EPS_ZERO) -> SubdifferentialModel:
+def subdifferential_model(u, ustar) -> SubdifferentialModel:
     u, ustar = _pair(u, ustar)
-    sign = residual_pattern(u, ustar, eps_zero)
+    sign = residual_pattern(u, ustar)
     i, j = np.nonzero(sign == 0)   # row-major, so the upper triangle row by row
     upper = i <= j
     return SubdifferentialModel(sign, np.column_stack((i[upper], j[upper])), u)
 
 
-def midpoint_subgradient(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
+def midpoint_subgradient(u, ustar) -> np.ndarray:
     """Sign(u u^T - ustar ustar^T) u with free entries set to 0, row by row.
 
     u is one point (n,) or a stack (trials, n), taken in objective's row
@@ -192,15 +194,15 @@ def midpoint_subgradient(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
     """
     blocks = _row_blocks(u)
     if blocks:
-        return np.concatenate([midpoint_subgradient(block, ustar, eps_zero) for block in blocks])
-    return (residual_pattern(u, ustar, eps_zero) @ u[..., None])[..., 0]
+        return np.concatenate([midpoint_subgradient(block, ustar) for block in blocks])
+    return (residual_pattern(u, ustar) @ u[..., None])[..., 0]
 
 
-def subgradient_select(u, ustar, eps_zero: float = EPS_ZERO) -> np.ndarray:
+def subgradient_select(u, ustar) -> np.ndarray:
     """The midpoint element of df(u), for a validated pair u, ustar.
 
     Every free entry is set to 0, the center of its interval, which makes
     the selection deterministic.
     """
     u, ustar = _pair(u, ustar)
-    return midpoint_subgradient(u, ustar, eps_zero)
+    return midpoint_subgradient(u, ustar)

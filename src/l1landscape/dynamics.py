@@ -228,14 +228,14 @@ class ConjectureReport:
         }
 
 
-def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = DEFAULT_SCHEDULE,
+def conjecture_probe(ustar, init=None, schedule: StepSchedule = DEFAULT_SCHEDULE,
                      trials: int = 200, max_iters: int = DEFAULT_MAX_ITERS,
                      tau_succ: float = DEFAULT_TAU_SUCC,
                      tau_trap: float = DEFAULT_TAU_TRAP,
                      seed: int = 0, selection=None) -> ConjectureReport:
     """Monte Carlo convergence counts for the subgradient method.
 
-    Each trial draws its start from init (standard Gaussian by default, or a
+    Each trial draws its start from init (None for a standard Gaussian, or a
     callable rng -> vector of shape (n,)) using an rng keyed by (seed, trial
     index), takes exactly max_iters steps, and is labeled by its final
     state: success within tau_succ of a ground truth, trapped within
@@ -251,12 +251,14 @@ def conjecture_probe(ustar, init="gaussian", schedule: StepSchedule = DEFAULT_SC
         raise ValueError("trials must be at least 1")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
+    if init is not None and not callable(init):
+        raise ValueError("init must be None or a callable rng -> vector")
     n = ustar.size
 
     finals = np.empty((trials, n))
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
-        finals[t] = (rng.standard_normal(n) if init == "gaussian"
+        finals[t] = (rng.standard_normal(n) if init is None
                      else _sized_vector(init(rng), n, "init(rng)"))
 
     # All trials in lockstep; each row gets run_subgradient's bits.

@@ -21,6 +21,8 @@ HALF_LINE = "half_line"
 FREE = "free"
 ZERO = "zero"
 
+# Slack of every sign test on a direction w: cone membership, and df(u)(w)
+# compared with 0 for the critical cone and for descent.
 EPS_DIR = 1e-9
 
 
@@ -28,20 +30,12 @@ class NotStationaryError(ValueError):
     """Raised when an object defined at stationary points only is asked for elsewhere."""
 
 
-def _require_stationary(u, ustar, eps_zero):
+def _require_stationary(u, ustar):
     """The closed-form verdict at a validated pair; NotStationaryError if not stationary."""
-    verdict = is_stationary_closed_form(u, ustar, eps_zero)
+    verdict = is_stationary_closed_form(u, ustar)
     if not verdict.is_stationary:
         raise NotStationaryError("u is not a stationary point of f")
     return verdict
-
-
-class GroundTruthConeError(ValueError):
-    """Raised when a cone is requested at +-ustar without opting in.
-
-    The critical cone at a nonzero ground truth is {0}; callers that want the
-    all-ZERO descriptor instead of an error pass allow_ground_truth=True.
-    """
 
 
 @dataclass(frozen=True)
@@ -60,20 +54,21 @@ class CriticalConeDescriptor:
     def dim(self) -> int:
         return len(self.kinds)
 
-    def contains(self, w, tol: float = EPS_DIR) -> bool:
+    def contains(self, w) -> bool:
+        """Whether w meets every coordinate's condition to within EPS_DIR."""
         w = as_vector(w)
         if w.size != self.dim:
             raise ValueError("direction dimension mismatch")
         for wj, kind, s in zip(w, self.kinds, self.signs):
-            if kind == ZERO and abs(wj) > tol:
+            if kind == ZERO and abs(wj) > EPS_DIR:
                 return False
-            if kind == HALF_LINE and s * wj > tol:
+            if kind == HALF_LINE and s * wj > EPS_DIR:
                 return False
         return True
 
-    def sample(self, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-        """Random element of the cone (Gaussian magnitudes)."""
-        g = rng.standard_normal(self.dim) * scale
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Random element of the cone (standard Gaussian magnitudes)."""
+        g = rng.standard_normal(self.dim)
         w = np.empty(self.dim)
         for j, (kind, s) in enumerate(zip(self.kinds, self.signs)):
             if kind == ZERO:
@@ -85,38 +80,32 @@ class CriticalConeDescriptor:
         return w
 
 
-def directional_derivative(u, ustar, w, eps_zero: float = EPS_ZERO) -> float:
+def directional_derivative(u, ustar, w) -> float:
     """df(u)(w) = max over the sign boxes of <sym(S) u, w>, the support
     function SubdifferentialModel.support of the subdifferential."""
     u, ustar = _pair(u, ustar)
     u, w = _pair(u, w)
-    return subdifferential_model(u, ustar, eps_zero).support(w)
+    return subdifferential_model(u, ustar).support(w)
 
 
-def critical_cone(u, ustar, eps_zero: float = EPS_ZERO,
-                  allow_ground_truth: bool = False) -> CriticalConeDescriptor:
+def critical_cone(u, ustar) -> CriticalConeDescriptor:
     """Closed-form critical cone at a stationary point of f.
 
-    At u = 0 the cone is all of R^n. At a spurious point u != 0 coordinate j
-    is ZERO off the support of ustar, HALF_LINE(Sign(u_j)) where |u_j| meets
-    the box bound |ustar_j|, and FREE where it sits strictly inside. Ground
-    truths are rejected (their cone is {0}) unless allow_ground_truth is set,
-    which returns the all-ZERO descriptor.
+    At a nonzero ground truth the cone is {0}, the all-ZERO descriptor. At
+    u = 0 it is all of R^n. At a spurious point u != 0 coordinate j is ZERO
+    off the support of ustar, HALF_LINE(Sign(u_j)) where |u_j| meets the box
+    bound |ustar_j|, and FREE where it sits strictly inside.
     """
     u, ustar = _pair(u, ustar)
-    verdict = _require_stationary(u, ustar, eps_zero)
+    verdict = _require_stationary(u, ustar)
     if verdict.kind in (GROUND_TRUTH_PLUS, GROUND_TRUTH_MINUS):
-        if not allow_ground_truth:
-            raise GroundTruthConeError(
-                "critical cone at a ground truth is {0}; "
-                "pass allow_ground_truth=True for the all-ZERO descriptor")
         return CriticalConeDescriptor((ZERO,) * u.size, (0,) * u.size)
 
-    if np.abs(u).max() <= eps_zero:
+    if np.abs(u).max() <= EPS_ZERO:
         return CriticalConeDescriptor((FREE,) * u.size, (0,) * u.size)
 
-    zero = np.abs(ustar) <= eps_zero
-    half = ~zero & (np.abs(u) >= np.abs(ustar) - eps_zero)
+    zero = np.abs(ustar) <= EPS_ZERO
+    half = ~zero & (np.abs(u) >= np.abs(ustar) - EPS_ZERO)
     kinds = np.where(zero, ZERO, np.where(half, HALF_LINE, FREE))
     signs = np.sign(u).astype(int) * half
     return CriticalConeDescriptor(tuple(kinds.tolist()), tuple(signs.tolist()))

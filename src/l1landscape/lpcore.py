@@ -19,6 +19,10 @@ can move, where the optimum is ||A x0||_inf.
 
 Every OPTIMAL result carries the row duals of its final basis, from which
 feasibility_min_infinity_norm() reads a certificate w of its value.
+
+The feasibility tolerance EPS_LP is a module constant, like the pivoting
+tolerances: a solve accepts equality rows met to within EPS_LP, and the
+callers in stationarity read the same constant as their zero.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest equality-row residual an OPTIMAL result may carry.
 EPS_LP = 1e-9
 
 OPTIMAL = "optimal"
@@ -159,7 +164,7 @@ def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
         pivots += 1
 
 
-def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
+def solve(lp: BoxEqLP) -> LPResult:
     """Maximize over the box-equality feasible set.
 
     Phase 1 drives artificial slack on each row to zero (INFEASIBLE when it
@@ -171,8 +176,6 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     closed form: each variable sits at the bound its cost points to, and at
     its start where the cost is within the reduced-cost tolerance of 0.
     """
-    if not 0 < eps_lp < math.inf:
-        raise ValueError("eps_lp must be positive and finite")
     a = lp.eq_matrix
     b = lp.eq_rhs
     m, k = a.shape
@@ -202,7 +205,7 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 1")
     infeas = float(np.abs(b - a @ x1[:k]).max())
-    if infeas > eps_lp:
+    if infeas > EPS_LP:
         return LPResult(INFEASIBLE, np.nan, None, infeas, ROWS_UNMET)
 
     # Pin artificials at zero so phase 2 cannot reopen the rows.
@@ -216,18 +219,18 @@ def solve(lp: BoxEqLP, eps_lp: float = EPS_LP) -> LPResult:
 
     xs = x1[:k]
     residual_norm = float(np.abs(a @ xs - b).max())
-    if residual_norm > eps_lp:
+    if residual_norm > EPS_LP:
         return LPResult(NUMERICAL_FAILURE, np.nan, xs, residual_norm, RESIDUAL_ABOVE_EPS)
     return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm, duals=y)
 
 
-def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_LP):
+def feasibility_min_infinity_norm(lower, upper, eq_matrix):
     """(value, x, w): min over the box of ||A x||_inf, a minimizing x, and a
     dual certificate w, by an epigraph reformulation.
 
     Introduces t >= 0 with rows (A x)_i - t + p_i = 0 and (A x)_i + t - q_i = 0
     for slack p, q in [0, 2 T], where T bounds |A x| over the box, and
-    maximizes -t. A value <= eps_lp certifies that 0 lies in A . box.
+    maximizes -t. A value <= EPS_LP certifies that 0 lies in A . box.
 
     w = y[:m] + y[m:] adds the duals of the two rows of each i. For a positive
     value, ||w||_1 = 1 and the least <w, A x> over the box,
@@ -241,8 +244,6 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     in linear programming", Math. Programming 71, 1995), and
     w = sign(r_i) e_i for the first i maximizing |r_i|, r = A x0.
     """
-    if not 0 < eps_lp < math.inf:
-        raise ValueError("eps_lp must be positive and finite")
     lower, upper, a = _box(lower, upper, eq_matrix)
     m, k = a.shape
 
@@ -282,7 +283,7 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix, eps_lp: float = EPS_L
     c = np.zeros(total)
     c[k] = -1.0
 
-    res = solve(BoxEqLP(lo, hi, rows, np.zeros(2 * m), c), eps_lp)
+    res = solve(BoxEqLP(lo, hi, rows, np.zeros(2 * m), c))
     if res.status != OPTIMAL:
         # The reformulation is feasible for every box, so this is numerics.
         raise NumericalFailureError(

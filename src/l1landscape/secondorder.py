@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import EPS_ZERO, _pair, subdifferential_model
 from .firstorder import EPS_DIR, _require_stationary
-from .lpcore import EPS_LP, OPTIMAL, BoxEqLP, NumericalFailureError, solve
+from .lpcore import OPTIMAL, BoxEqLP, NumericalFailureError, solve
 from .stationarity import (
     GROUND_TRUTH_MINUS,
     GROUND_TRUTH_PLUS,
@@ -34,23 +34,22 @@ GLOBAL_MIN = "global_min"
 SPURIOUS_STATIONARY = "spurious_stationary"
 
 
-def second_subderivative(u, ustar, w, eps_zero: float = EPS_ZERO,
-                         eps_lp: float = EPS_LP) -> float:
+def second_subderivative(u, ustar, w) -> float:
     """d2f(u;0)(w): +inf off the critical cone, else an LP over the face."""
     u, ustar = _pair(u, ustar)
     u, w = _pair(u, w)
-    _require_stationary(u, ustar, eps_zero)
-    return _second_subderivative(u, ustar, w, eps_zero, eps_lp)
+    _require_stationary(u, ustar)
+    return _second_subderivative(u, ustar, w)
 
 
-def _second_subderivative(u, ustar, w, eps_zero, eps_lp):
+def _second_subderivative(u, ustar, w):
     """second_subderivative at a point already certified stationary.
 
     The face objective <Q, w w^T> splits into the fixed-entry constant plus
     w_i^2 per free diagonal coordinate and 2 w_i w_j per free off-diagonal
     pair.
     """
-    model = subdifferential_model(u, ustar, eps_zero)
+    model = subdifferential_model(u, ustar)
     if model.support(w) > EPS_DIR:
         return math.inf
 
@@ -61,30 +60,29 @@ def _second_subderivative(u, ustar, w, eps_zero, eps_lp):
     i, j = model.free_pairs.T
     coeffs = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
     lp = BoxEqLP(-np.ones(p), np.ones(p), model.pair_matrix(), -model.fixed_vector(), coeffs)
-    res = solve(lp, eps_lp)
+    res = solve(lp)
     if res.status != OPTIMAL:
         raise NumericalFailureError(f"face LP ended with status {res.status}: {res.reason}")
     return constant + res.value
 
 
-def escape_curvature(u, ustar, eps_zero: float = EPS_ZERO,
-                     eps_lp: float = EPS_LP):
+def escape_curvature(u, ustar):
     """Escape direction w = ustar - u at a spurious point, with its curvature.
 
     The value is -||ustar||_1^2; the LP route must reproduce it to 1e-9,
     otherwise something is inconsistent and we refuse to return.
     """
     u, ustar = _pair(u, ustar)
-    verdict = _require_stationary(u, ustar, eps_zero)
+    verdict = _require_stationary(u, ustar)
     if verdict.kind != SPURIOUS:
         raise ValueError("escape curvature is defined at spurious stationary points")
-    return _escape_curvature(u, ustar, eps_zero, eps_lp)
+    return _escape_curvature(u, ustar)
 
 
-def _escape_curvature(u, ustar, eps_zero, eps_lp):
+def _escape_curvature(u, ustar):
     """escape_curvature at a point already certified spurious."""
     w = ustar - u
-    value = _second_subderivative(u, ustar, w, eps_zero, eps_lp)
+    value = _second_subderivative(u, ustar, w)
     expected = -float(np.abs(ustar).sum()) ** 2
     if abs(value - expected) > 1e-9:
         raise ArithmeticError(
@@ -100,8 +98,7 @@ class PointClassification:
     descent_direction: np.ndarray | None = None
 
 
-def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
-                   eps_lp: float = EPS_LP) -> PointClassification:
+def classify_point(u, ustar) -> PointClassification:
     """Global minimum, spurious stationary point, or descent direction.
 
     Second-order stationarity singles out the global minima, so every
@@ -115,22 +112,22 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
     whose support function checks them.
     """
     u, ustar = _pair(u, ustar)
-    verdict = is_stationary_closed_form(u, ustar, eps_zero)
+    verdict = is_stationary_closed_form(u, ustar)
     if verdict.kind in (GROUND_TRUTH_PLUS, GROUND_TRUTH_MINUS):
         return PointClassification(GLOBAL_MIN)
     if verdict.kind == SPURIOUS:
-        if np.abs(ustar).max() <= eps_zero:
+        if np.abs(ustar).max() <= EPS_ZERO:
             # ustar = 0 makes u = 0 the unique stationary point and the
             # global minimum; there is nothing to escape from.
             return PointClassification(GLOBAL_MIN)
-        w, value = _escape_curvature(u, ustar, eps_zero, eps_lp)
+        w, value = _escape_curvature(u, ustar)
         return PointClassification(SPURIOUS_STATIONARY, escape_direction=w, curvature=value)
 
-    model = subdifferential_model(u, ustar, eps_zero)
+    model = subdifferential_model(u, ustar)
 
     def descend_along(g):
         norm = float(np.linalg.norm(g))
-        if norm <= eps_zero:
+        if norm <= EPS_ZERO:
             return None
         d = -g / norm
         if model.support(d) < -EPS_DIR:
@@ -139,7 +136,7 @@ def classify_point(u, ustar, eps_zero: float = EPS_ZERO,
 
     d = descend_along(model.fixed_vector())  # the midpoint subgradient
     if d is None:
-        _, _, element, w = min_norm_element(model, eps_lp)
+        _, _, element, w = min_norm_element(model)
         d = descend_along(element)
         if d is None:
             d = descend_along(w)  # df(u)(-w) = -value

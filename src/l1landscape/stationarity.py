@@ -38,31 +38,29 @@ class StationarityVerdict:
     violation: float | None = None
 
 
-def _stationary_kind(u, ustar, eps_zero):
+def _stationary_kind(u, ustar):
     """Kind label for a stationary point; ustar = 0 makes u = 0 SPURIOUS."""
-    if np.abs(ustar).max() <= eps_zero:
+    if np.abs(ustar).max() <= EPS_ZERO:
         return SPURIOUS
-    if np.abs(u - ustar).max() <= eps_zero:
+    if np.abs(u - ustar).max() <= EPS_ZERO:
         return GROUND_TRUTH_PLUS
-    if np.abs(u + ustar).max() <= eps_zero:
+    if np.abs(u + ustar).max() <= EPS_ZERO:
         return GROUND_TRUTH_MINUS
     return SPURIOUS
 
 
-def is_stationary_closed_form(u, ustar, eps_zero: float = EPS_ZERO) -> StationarityVerdict:
+def is_stationary_closed_form(u, ustar) -> StationarityVerdict:
     """Certify stationarity from the closed-form description of the set."""
-    if not 0 < eps_zero < math.inf:
-        raise ValueError("eps_zero must be positive and finite")
     u, ustar = _pair(u, ustar)
-    kind = _stationary_kind(u, ustar, eps_zero)
+    kind = _stationary_kind(u, ustar)
     if kind != SPURIOUS:
         return StationarityVerdict(True, kind, np.zeros((u.size, u.size)), 0.0)
 
-    # With ustar = 0 s vanishes and the test reduces to ||u||_inf <= eps_zero.
-    s = np.sign(ustar) * (np.abs(ustar) > eps_zero)
-    box_ok = np.all(np.abs(u) <= np.abs(ustar) + eps_zero)
-    forced_ok = np.all(np.abs(u[s == 0]) <= eps_zero)
-    plane_ok = abs(float(s @ u)) <= eps_zero
+    # With ustar = 0 s vanishes and the test reduces to ||u||_inf <= EPS_ZERO.
+    s = np.sign(ustar) * (np.abs(ustar) > EPS_ZERO)
+    box_ok = np.all(np.abs(u) <= np.abs(ustar) + EPS_ZERO)
+    forced_ok = np.all(np.abs(u[s == 0]) <= EPS_ZERO)
+    plane_ok = abs(float(s @ u)) <= EPS_ZERO
     if box_ok and forced_ok and plane_ok:
         # -Sign(ustar ustar^T) annihilates every polytope point and respects
         # the sign boxes of the residual there, so it is a valid witness.
@@ -71,7 +69,7 @@ def is_stationary_closed_form(u, ustar, eps_zero: float = EPS_ZERO) -> Stationar
     return StationarityVerdict(False, NOT_STATIONARY)
 
 
-def min_norm_element(model: SubdifferentialModel, eps_lp: float = EPS_LP):
+def min_norm_element(model: SubdifferentialModel):
     """(value, free_values, element, w) for the least-infinity-norm S u.
 
     The constant fixed_vector() enters through a column pinned to 1, so the
@@ -82,24 +80,23 @@ def min_norm_element(model: SubdifferentialModel, eps_lp: float = EPS_LP):
     """
     a = np.hstack([model.fixed_vector()[:, None], model.pair_matrix()])
     lower = np.concatenate([[1.0], -np.ones(len(model.free_pairs))])
-    value, point, w = feasibility_min_infinity_norm(lower, np.ones(lower.size), a, eps_lp)
+    value, point, w = feasibility_min_infinity_norm(lower, np.ones(lower.size), a)
     return value, point[1:], a @ point, w
 
 
-def is_stationary_lp(u, ustar, eps_zero: float = EPS_ZERO,
-                     eps_lp: float = EPS_LP) -> StationarityVerdict:
+def is_stationary_lp(u, ustar) -> StationarityVerdict:
     """Certify stationarity by minimizing ||Z u||_inf over the sign polytope.
 
     The subdifferential is {S u : S in the sign boxes, symmetric}, so 0 lies
     in it exactly when its min-norm element vanishes.
     """
     u, ustar = _pair(u, ustar)
-    model = subdifferential_model(u, ustar, eps_zero)
-    value, free_values, _, _ = min_norm_element(model, eps_lp)
-    if value > eps_lp:
+    model = subdifferential_model(u, ustar)
+    value, free_values, _, _ = min_norm_element(model)
+    if value > EPS_LP:
         return StationarityVerdict(False, NOT_STATIONARY, None, value)
     witness = model.assemble(np.clip(free_values, -1.0, 1.0))
-    return StationarityVerdict(True, _stationary_kind(u, ustar, eps_zero), witness, value)
+    return StationarityVerdict(True, _stationary_kind(u, ustar), witness, value)
 
 
 def _row_dots(a, b) -> np.ndarray:

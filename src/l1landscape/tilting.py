@@ -105,7 +105,7 @@ def certify_sharp_local_min_1d(fn: str, x0: float, a: float):
     return False, 0.0
 
 
-def certify_sharp_local_min_tilted_f(ustar, u0, a, eps_zero: float = EPS_ZERO):
+def certify_sharp_local_min_tilted_f(ustar, u0, a):
     """Sharp-local-minimum certificate for f(u) - <a, u> at u0 = +-(-1, 1).
 
     The instance is fixed: ustar = (1, 1) and u0 one of the two spurious
@@ -118,15 +118,15 @@ def certify_sharp_local_min_tilted_f(ustar, u0, a, eps_zero: float = EPS_ZERO):
     u0 = as_vector(u0)
     a = as_vector(a)
     corner = np.array([-1.0, 1.0])
-    if ustar.shape != (2,) or not np.allclose(ustar, [1.0, 1.0], atol=eps_zero):
+    if ustar.shape != (2,) or not np.allclose(ustar, [1.0, 1.0], atol=EPS_ZERO):
         raise ValueError("this certificate covers ustar = (1, 1) only")
-    if not (np.allclose(u0, corner, atol=eps_zero)
-            or np.allclose(u0, -corner, atol=eps_zero)):
+    if not (np.allclose(u0, corner, atol=EPS_ZERO)
+            or np.allclose(u0, -corner, atol=EPS_ZERO)):
         raise ValueError("this certificate covers u0 = +-(-1, 1) only")
     if a.shape != (2,):
         raise ValueError("tilt must be a 2-vector")
 
-    model = subdifferential_model(u0, ustar, eps_zero)
+    model = subdifferential_model(u0, ustar)
     c0 = model.fixed_vector()
     half = np.abs(model.pair_matrix()).sum(axis=1)
     lo = c0 - half - a

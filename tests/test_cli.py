@@ -1,7 +1,9 @@
 import argparse
 import hashlib
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,16 +102,29 @@ EPS_COMMANDS = ("certify -u 0.5,0.2 -g 1,1", "landscape -g 1,1 --nx 3 --ny 3")
 @pytest.mark.parametrize("command,tolerance", [
     *(pytest.param(command, "--eps-lp=-1", id=command) for command in EPS_COMMANDS),
     *((command, f"{flag}={value}") for command in EPS_COMMANDS
-      for flag in ("--eps-lp", "--eps-zero") for value in ("nan", "inf")),
+      for flag in ("--eps-lp", "--eps-zero") for value in ("nan", "inf", "1e-3")),
+    *((command, f"config:{key}") for command in EPS_COMMANDS
+      for key in ("eps_zero", "eps_lp")),
 ])
-def test_nonpositive_eps_lp_exits_one(capsys, command, tolerance):
-    """Points whose LP is presolved still reject eps_lp <= 0, and neither
-    tolerance may be NaN or infinite."""
-    code, out, err = run_cli(capsys, *command.split(), tolerance)
+def test_nonpositive_eps_lp_exits_one(tmp_path, capsys, command, tolerance):
+    """The tolerances are library constants: certify and landscape take no
+    --eps-zero or --eps-lp flag and no eps_zero or eps_lp config key, at any
+    value, and exit 1 with nothing on stdout."""
+    argv = command.split()
+    if tolerance.startswith("config:"):
+        key = tolerance.partition(":")[2]
+        cfg = tmp_path / "eps.json"
+        cfg.write_text(json.dumps({key: 1e-3}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert err == f"error: unknown parameter {key.replace('_', '-')!r}\n"
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [tolerance])
+        code = exc.value.code
+        out, err = capsys.readouterr()
+        assert f"unrecognized arguments: {tolerance}" in err
     assert code == 1
     assert out == ""
-    name = tolerance.split("=")[0][2:].replace("-", "_")
-    assert f"{name} must be positive" in err
 
 
 def test_flow_svg_arrow_count(tmp_path, capsys):
@@ -287,6 +302,20 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert payload["seed"] == 3
 
 
+@pytest.mark.parametrize("command,config,name", [
+    ("conjecture -g 1,1", {"max_iter": 5}, "max-iter"),
+    ("certify -u 1,1 -g 1,1", {"nx": 3, "seed": 1}, "nx"),
+])
+def test_config_key_without_an_option_exits_one(tmp_path, capsys, command, config, name):
+    # a typo or another subcommand's key is not silently ignored
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, *command.split(), "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: unknown parameter {name!r}\n"
+
+
 @pytest.mark.parametrize("config,key", [({"trials": [1]}, "trials"),
                                         ({"seed": "abc"}, "seed"),
                                         ({"schedule": 0.1}, "schedule")])
@@ -412,6 +441,38 @@ def _leaf_commands(parser, prefix=""):
                 yield from _leaf_commands(sub, prefix + name + " ")
             return
     yield prefix.strip()
+
+
+def _option_strings(parser):
+    """Every option string of the parser and of all its subcommands."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_unknown_flags(text):
+    """The --flags that an inline code span of text starts with and that no
+    subcommand has."""
+    named = set(re.findall(r"`(--[a-z][a-z0-9-]*)", text))
+    return sorted(named - _option_strings(build_parser()))
+
+
+def test_readme_command_lines_parse_and_its_flags_exist():
+    text = README.read_text()
+    lines = [line.split() for line in text.splitlines()
+             if line.strip().startswith("l1landscape ")]
+    assert len(lines) >= 11
+    for argv in lines:
+        build_parser().parse_args(argv[1:])   # a usage error exits 1
+    assert readme_unknown_flags(text) == []
+    assert readme_unknown_flags("`--config f.json` or `--eps-zero`") == ["--eps-zero"]
 
 
 def test_every_subcommand_has_a_golden_line():

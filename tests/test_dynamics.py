@@ -256,6 +256,17 @@ def test_conjecture_probe_iteration_count():
         conjecture_probe([1.0, 1.0], trials=2, max_iters=-4)
 
 
+def test_conjecture_probe_init_is_none_or_a_callable():
+    # None draws the same standard Gaussian start as the callable does
+    gaussian = conjecture_probe([1.0, -0.5], init=None, trials=3, max_iters=0, seed=2)
+    drawn = conjecture_probe([1.0, -0.5], init=lambda rng: rng.standard_normal(2),
+                             trials=3, max_iters=0, seed=2)
+    np.testing.assert_array_equal(gaussian.final_points, drawn.final_points)
+    for init in ("uniform", "gaussian", np.ones(2)):
+        with pytest.raises(ValueError, match="init must be None or a callable"):
+            conjecture_probe([1.0, -0.5], init=init, trials=3, max_iters=0)
+
+
 def test_conjecture_probe_rejects_a_wrong_size_init():
     # a length-1 start would otherwise broadcast one value to every coordinate
     with pytest.raises(ValueError, match=r"init\(rng\) returned shape \(1,\)"):

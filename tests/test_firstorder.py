@@ -13,7 +13,6 @@ from l1landscape.firstorder import (
     HALF_LINE,
     ZERO,
     CriticalConeDescriptor,
-    GroundTruthConeError,
     GrowthReport,
     NotStationaryError,
     critical_cone,
@@ -63,12 +62,12 @@ def test_critical_cone_mixed_coordinates():
 def test_critical_cone_rejects_bad_points():
     with pytest.raises(NotStationaryError):
         critical_cone([0.5, 0.2], [1.0, 1.0])
-    with pytest.raises(GroundTruthConeError):
-        critical_cone([1.0, 1.0], [1.0, 1.0])
-    cone = critical_cone([1.0, 1.0], [1.0, 1.0], allow_ground_truth=True)
-    assert cone.kinds == (ZERO, ZERO)
-    assert cone.contains([0.0, 0.0])
-    assert not cone.contains([1e-3, 0.0])
+    # at a nonzero ground truth the cone is {0}, the all-ZERO descriptor
+    for u in ([1.0, 1.0], [-1.0, -1.0]):
+        cone = critical_cone(u, [1.0, 1.0])
+        assert cone == CriticalConeDescriptor((ZERO, ZERO), (0, 0))
+        assert cone.contains([0.0, 0.0])
+        assert not cone.contains([1e-3, 0.0])
 
 
 def test_cone_membership_examples():
@@ -189,16 +188,15 @@ def test_descriptor_validation():
         cone.contains([1.0, 2.0, 3.0])
 
 
-def reference_critical_cone(u, ustar, eps_zero=1e-9, allow_ground_truth=False):
+def reference_critical_cone(u, ustar):
     """critical_cone with its former loop over coordinates, as an oracle."""
+    eps_zero = 1e-9
     u = np.asarray(u, dtype=float)
     ustar = np.asarray(ustar, dtype=float)
-    verdict = is_stationary_closed_form(u, ustar, eps_zero)
+    verdict = is_stationary_closed_form(u, ustar)
     if not verdict.is_stationary:
         raise NotStationaryError
     if verdict.kind in (GROUND_TRUTH_PLUS, GROUND_TRUTH_MINUS):
-        if not allow_ground_truth:
-            raise GroundTruthConeError
         return CriticalConeDescriptor((ZERO,) * u.size, (0,) * u.size)
     if np.abs(u).max() <= eps_zero:
         return CriticalConeDescriptor((FREE,) * u.size, (0,) * u.size)
@@ -238,7 +236,7 @@ def reference_growth_check(ustar, radius, samples, seed=0):
 
 def cone_or_error(cone_fn, u, ustar):
     try:
-        return cone_fn(u, ustar, allow_ground_truth=True)
+        return cone_fn(u, ustar)
     except NotStationaryError:
         return NotStationaryError
 

@@ -122,8 +122,6 @@ def test_validation_errors():
         BoxEqLP([0.0, 0.0], [1.0], np.zeros((0, 2)), [], [1.0, 1.0])
     with pytest.raises(ValueError):
         BoxEqLP([0.0], [np.inf], np.zeros((0, 1)), [], [1.0])
-    with pytest.raises(ValueError):
-        solve(BoxEqLP([-1.0], [1.0], np.zeros((0, 1)), [], [1.0]), eps_lp=0.0)
     # BoxEqLP and feasibility_min_infinity_norm share one box contract: A is
     # 2-D, the bounds match its columns, and the box is nonempty
     for lower, upper, a, message in (([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], "dimensions"),
@@ -133,13 +131,6 @@ def test_validation_errors():
             BoxEqLP(lower, upper, a, [0.0], [0.0] * len(lower))
         with pytest.raises(ValueError, match=message):
             feasibility_min_infinity_norm(lower, upper, a)
-    # Both presolve exits, all fixed and no movable row, return before any
-    # solve; they must still reject a nonpositive eps_lp.
-    for lower, upper, a in (([0.5, 0.2], [0.5, 0.2], [[1.0, 2.0]]),
-                            ([-1.0], [1.0], [[0.0]])):
-        for eps_lp in (0.0, -1.0):
-            with pytest.raises(ValueError, match="eps_lp must be positive"):
-                feasibility_min_infinity_norm(lower, upper, a, eps_lp)
 
 
 @pytest.mark.parametrize("lower,upper,a", [

@@ -3,9 +3,10 @@
 A module other than __init__.py imports no name it never uses, every
 module-level _private name is referenced by some module of the package,
 every name a script imports from the package exists (the scripts are
-parsed, never run), and the test oracles in tests/oracles.py take nothing
+parsed, never run), the test oracles in tests/oracles.py take nothing
 from the package but subdifferential_model while no library module imports
-them.
+them, and no function takes a tolerance as a parameter: the tolerances are
+the module constants EPS_ZERO, EPS_LP and EPS_DIR.
 """
 
 import ast
@@ -75,6 +76,22 @@ def test_every_private_name_is_referenced():
     assert {name: found for name, found in orphans.items() if found} == {}
 
 
+TOLERANCE_PARAMETERS = {"eps_zero", "eps_lp", "tol"}
+
+
+def tolerance_parameters(tree):
+    """function:parameter for every parameter named like a tolerance."""
+    return [f"{node.name}:{arg.arg}" for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+            if arg.arg in TOLERANCE_PARAMETERS]
+
+
+def test_no_function_takes_a_tolerance():
+    found = {name: tolerance_parameters(tree) for name, tree in parse_package().items()}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
 def package_imports(tree):
     """(module, name) for every name the tree imports from l1landscape."""
     return {(node.module, alias.name) for node in ast.walk(tree)
@@ -115,3 +132,9 @@ def test_the_checks_see_an_unused_import_and_an_orphan():
     script = ast.parse("from l1landscape.core import objective, gone\n"
                        "from .local import helper\n")
     assert missing_names(package_imports(script)) == ["l1landscape.core.gone"]
+    knobs = ast.parse("class Cone:\n"
+                      "    def contains(self, w, *, tol=1e-9):\n"
+                      "        pass\n"
+                      "def solve(lp, eps_lp=1e-9, atol=0.0):\n"
+                      "    pass\n")
+    assert tolerance_parameters(knobs) == ["solve:eps_lp", "contains:tol"]
