@@ -34,7 +34,6 @@ from .secondorder import (
 from .stationarity import (
     StationarityVerdict,
     distance_to_ground_truths,
-    distance_to_stationary_set,
     expected_gaussian_separation,
     gaussian_separation,
     is_stationary_closed_form,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 internal
 consistency failure (the two stationarity certifiers disagree), 3 numerical
-failure inside the LP machinery.
+failure inside the LP machinery. JSON output is strict: a result that is
+not finite exits 1 and writes nothing.
 
 Each invocation builds one options map: a flag that was set wins over the
 same key in the --config JSON object, and a JSON null counts as unset. A
@@ -132,7 +133,7 @@ def _emit(text: str, out_path) -> None:
 
 
 def _emit_json(payload: dict, out_path) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out_path)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", out_path)
 
 
 def _verdict_dict(v) -> dict:

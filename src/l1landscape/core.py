@@ -20,6 +20,7 @@ classification of the same point always see the same zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,14 @@ def _points(u, ustar) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(u)):
         raise ValueError("vector entries must be finite")
     return u, ustar
+
+
+def _reject_nan(**values) -> None:
+    """A NaN threshold compares false with everything, so a run would go on
+    as if it had never been set; refuse it by name instead."""
+    for name, value in values.items():
+        if math.isnan(value):
+            raise ValueError(f"{name} must not be NaN")
 
 
 def _row_blocks(u: np.ndarray) -> list[np.ndarray]:

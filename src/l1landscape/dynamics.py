@@ -1,12 +1,10 @@
 """Subgradient-method dynamics on f(u) = 0.5 ||u u^T - ustar ustar^T||_1.
 
-Plain iteration u_{k+1} = u_k - alpha_k g_k with a diminishing step schedule
-and a pluggable subgradient selection. The Monte Carlo harness estimates how
-often random initialization reaches a ground truth, how often it lands on
-the spurious polytope, and leaves the rest undecided; whether spurious
-points trap the method depends on the selection rule, which is why the
-selection is a parameter: None for the midpoint element, or a callable
-(u, k) -> g.
+Plain iteration u_{k+1} = u_k - alpha_k g_k with a diminishing step schedule,
+where g_k is the midpoint element of the subdifferential at u_k. The Monte
+Carlo harness estimates how often a standard Gaussian start reaches a ground
+truth, how often it lands on the spurious polytope, and leaves the rest
+undecided.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _pair, as_vector, midpoint_subgradient, objective
+from .core import _pair, _reject_nan, as_vector, midpoint_subgradient, objective
 from .stationarity import _spurious_distance, distance_to_ground_truths
 
 INV_K = "inv_k"
@@ -62,10 +60,6 @@ class StepSchedule:
         elif self.q is not None:
             raise ValueError("q only applies to the geometric schedule")
 
-    @property
-    def summable(self) -> bool:
-        return self.kind == GEOMETRIC
-
     def step(self, k: int) -> float:
         if k < 1:
             raise ValueError("step index starts at 1")
@@ -97,33 +91,17 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.iters)
 
-    @property
-    def final_point(self) -> np.ndarray:
-        return self.points[-1]
-
-
-def _sized_vector(value, n: int, source: str) -> np.ndarray:
-    """as_vector for a user callable's output, which must have shape (n,)
-    rather than broadcast against the iterate."""
-    v = as_vector(value)
-    if v.shape != (n,):
-        raise ValueError(f"{source} returned shape {v.shape}, expected ({n},)")
-    return v
-
 
 def run_subgradient(u0, ustar, schedule: StepSchedule,
                     max_iters: int = DEFAULT_MAX_ITERS,
-                    stop_tol: float = DEFAULT_TAU_SUCC,
-                    selection=None) -> Trajectory:
-    """Subgradient iteration with full per-iterate diagnostics.
+                    stop_tol: float = DEFAULT_TAU_SUCC) -> Trajectory:
+    """Midpoint-subgradient iteration with full per-iterate diagnostics.
 
-    selection None takes the midpoint element; a callable (u, k) -> g of
-    shape (n,) swaps in any other choice (the iteration does not check such
-    a g against the subdifferential, that is the caller's contract). Stops
-    early when the distance to {+-ustar} drops to stop_tol or the selected
-    subgradient vanishes; the final row records step 0.
+    Stops early when the distance to {+-ustar} drops to stop_tol or the
+    midpoint subgradient vanishes, which happens only at a stationary point;
+    the final row records step 0.
 
-    The loop only selects g, steps, runs the stopping test and writes the
+    The loop only computes g, steps, runs the stopping test and writes the
     iterate into (BLOCK_ROWS, n) buffers, one more each time the last fills,
     so memory follows the run's length K, not max_iters. f and the distance
     to the spurious set are computed after the loop, one call each per
@@ -133,6 +111,7 @@ def run_subgradient(u0, ustar, schedule: StepSchedule,
     u, ustar = _pair(u0, ustar)
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    _reject_nan(stop_tol=stop_tol)
     n = u.size
     blocks = []
     dist_gt, steps = [], []
@@ -149,10 +128,7 @@ def run_subgradient(u0, ustar, schedule: StepSchedule,
         if dist <= stop_tol or k == max_iters:
             break
         k += 1
-        if selection is None:
-            g = midpoint_subgradient(u, ustar)
-        else:
-            g = _sized_vector(selection(u, k), n, "selection(u, k)")
+        g = midpoint_subgradient(u, ustar)
         if not g.any():
             break
         alpha = schedule.step(k)
@@ -228,46 +204,37 @@ class ConjectureReport:
         }
 
 
-def conjecture_probe(ustar, init=None, schedule: StepSchedule = DEFAULT_SCHEDULE,
+def conjecture_probe(ustar, schedule: StepSchedule = DEFAULT_SCHEDULE,
                      trials: int = 200, max_iters: int = DEFAULT_MAX_ITERS,
                      tau_succ: float = DEFAULT_TAU_SUCC,
                      tau_trap: float = DEFAULT_TAU_TRAP,
-                     seed: int = 0, selection=None) -> ConjectureReport:
-    """Monte Carlo convergence counts for the subgradient method.
+                     seed: int = 0) -> ConjectureReport:
+    """Monte Carlo convergence counts for the midpoint-subgradient method.
 
-    Each trial draws its start from init (None for a standard Gaussian, or a
-    callable rng -> vector of shape (n,)) using an rng keyed by (seed, trial
-    index), takes exactly max_iters steps, and is labeled by its final
-    state: success within tau_succ of a ground truth, trapped within
-    tau_trap of the spurious polytope, undecided otherwise. All trials step
-    in lockstep, for every selection: None takes the midpoint element, and
-    a callable (u, k) -> g is called once per trial per step, for trials
-    0, 1, ... at step 1, then at step 2, and so on; a zero g is a zero
-    step, not the end of a trial. Aggregation is in trial order, so the
-    report is reproducible bit for bit.
+    Trial t starts from default_rng([seed, t]).standard_normal(n), takes
+    exactly max_iters steps, and is labeled by its final state: success
+    within tau_succ of a ground truth, trapped within tau_trap of the
+    spurious polytope, undecided otherwise. All trials step in lockstep, one
+    midpoint_subgradient call on the (trials, n) stack per step, and each
+    row ends on the bits run_subgradient gives from the same start with
+    stop_tol = 0. Aggregation is in trial order, so the report is
+    reproducible bit for bit.
     """
     ustar = as_vector(ustar)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    if init is not None and not callable(init):
-        raise ValueError("init must be None or a callable rng -> vector")
+    _reject_nan(tau_succ=tau_succ, tau_trap=tau_trap)
     n = ustar.size
 
     finals = np.empty((trials, n))
     for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        finals[t] = (rng.standard_normal(n) if init is None
-                     else _sized_vector(init(rng), n, "init(rng)"))
+        finals[t] = np.random.default_rng([seed, t]).standard_normal(n)
 
-    # All trials in lockstep; each row gets run_subgradient's bits.
+    # Two statements, not one: folding g into the update measured slower.
     for k in range(1, max_iters + 1):
-        if selection is None:
-            g = midpoint_subgradient(finals, ustar)
-        else:
-            g = np.array([_sized_vector(selection(u, k), n, "selection(u, k)")
-                          for u in finals])
+        g = midpoint_subgradient(finals, ustar)
         finals -= schedule.step(k) * g
 
     dist_gt = distance_to_ground_truths(finals, ustar)
@@ -303,6 +270,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one point per axis")
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax,
+                                       self.xmax - self.xmin, self.ymax - self.ymin))):
+            raise ValueError("grid bounds and spans must be finite")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("grid bounds must be increasing")
 

@@ -139,8 +139,8 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
     margin below the first-order rate.
     """
     ustar = as_vector(ustar)
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
+    if not 0.0 < 2.0 * radius < math.inf:
+        raise ValueError("radius must be positive, with 2 * radius finite")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
     beta = 0.5 * sharpness_coefficient(ustar)
@@ -149,5 +149,8 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
     f_star = objective(ustar, ustar)
     u = ustar + np.array([np.random.default_rng([seed, t]).uniform(-radius, radius, ustar.size)
                           for t in range(samples)])
-    margin = objective(u, ustar) - f_star - beta * np.abs(u - ustar).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        margin = objective(u, ustar) - f_star - beta * np.abs(u - ustar).sum(axis=1)
+    if not np.all(np.isfinite(margin)):
+        raise ValueError("radius too large: f overflows at the sampled points")
     return GrowthReport(samples, int((margin < 0.0).sum()), float(margin.min()), radius, beta)

@@ -192,12 +192,6 @@ def _spurious_distance(u, ustar):
     return project_to_spurious_set(u, ustar)[1]
 
 
-def distance_to_stationary_set(u, ustar) -> float:
-    """Distance to the full stationary set: polytope and the two ground truths."""
-    u, ustar = _pair(u, ustar)
-    return min(_spurious_distance(u, ustar), distance_to_ground_truths(u, ustar))
-
-
 def expected_gaussian_separation(n: int) -> float:
     """E ||ustar||_1 / sqrt(n) for a standard Gaussian ustar: sqrt(2 n / pi)."""
     return math.sqrt(2.0 * n / math.pi)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_ZERO, as_vector, subdifferential_model
+from .core import EPS_ZERO, _reject_nan, as_vector, subdifferential_model
 from .dynamics import StepSchedule
 
 EX41 = "ex41"
@@ -158,6 +158,7 @@ def tilt_divergence_probe_ex41(a: float, x0: float, schedule: StepSchedule,
     allowed for contrast runs; then x0 = 0 is a genuine global minimum and
     nothing moves.
     """
+    _reject_nan(a=a, x0=x0, threshold=threshold)
     x = float(x0)
     a = float(a)
     iterations = 0

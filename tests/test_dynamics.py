@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from l1landscape import dynamics, stationarity
-from l1landscape.core import objective, subgradient_select
+from l1landscape.core import midpoint_subgradient, objective, subgradient_select
 from l1landscape.dynamics import (
     BLOCK_ROWS,
+    DEFAULT_TAU_SUCC,
+    DEFAULT_TAU_TRAP,
     GEOMETRIC,
     INV_K,
     INV_SQRT_K,
@@ -40,16 +42,13 @@ def test_schedule_values_and_flags():
     s = StepSchedule(INV_K, 0.5)
     assert s.step(1) == 0.5
     assert s.step(4) == 0.125
-    assert not s.summable
 
     s = StepSchedule(INV_SQRT_K, 0.1)
     assert s.step(4) == pytest.approx(0.05)
-    assert not s.summable
 
     s = StepSchedule(GEOMETRIC, 1.0, q=0.5)
     assert s.step(1) == 0.5
     assert s.step(3) == 0.125
-    assert s.summable
 
 
 def test_schedule_validation():
@@ -72,7 +71,7 @@ def test_ground_truth_start_is_a_fixed_point():
     traj = run_subgradient([1.0, 1.0], [1.0, 1.0], StepSchedule(INV_K, 0.1))
     assert len(traj) == 1
     assert traj.steps[0] == 0.0
-    np.testing.assert_array_equal(traj.final_point, [1.0, 1.0])
+    np.testing.assert_array_equal(traj.points[-1], [1.0, 1.0])
 
 
 def test_one_dimensional_oracle():
@@ -90,7 +89,7 @@ def test_spurious_point_is_not_fixed_under_midpoint_rule():
     traj = run_subgradient([-1.0, 1.0], [1.0, 1.0], StepSchedule(INV_SQRT_K, 0.1))
     assert len(traj) == 2
     assert not np.array_equal(traj.points[1], traj.points[0])
-    np.testing.assert_allclose(traj.final_point, [-0.9, 0.9])
+    np.testing.assert_allclose(traj.points[-1], [-0.9, 0.9])
     assert traj.dist_spurious[-1] <= 1e-12
     assert traj.steps[-1] == 0.0
 
@@ -240,10 +239,15 @@ def test_conjecture_probe_is_deterministic():
 
 
 def test_conjecture_probe_single_trial_at_ground_truth():
-    report = conjecture_probe([1.0, 1.0], init=lambda rng: np.array([1.0, 1.0]),
-                              trials=1, max_iters=10, seed=0)
+    # the label follows from the final distances, which are the public ones
+    ustar = np.array([1.0, 1.0])
+    report = conjecture_probe(ustar, trials=1, max_iters=2000, seed=0)
     assert report.successes == 1
     assert report.labels == (SUCCESS,)
+    final = report.final_points[0]
+    assert report.final_dist_ground_truth[0] == distance_to_ground_truths(final, ustar)
+    assert report.final_dist_ground_truth[0] <= report.tau_succ
+    assert report.final_dist_spurious[0] == project_to_spurious_set(final, ustar)[1]
 
 
 def test_conjecture_probe_iteration_count():
@@ -256,109 +260,65 @@ def test_conjecture_probe_iteration_count():
         conjecture_probe([1.0, 1.0], trials=2, max_iters=-4)
 
 
-def test_conjecture_probe_init_is_none_or_a_callable():
-    # None draws the same standard Gaussian start as the callable does
-    gaussian = conjecture_probe([1.0, -0.5], init=None, trials=3, max_iters=0, seed=2)
-    drawn = conjecture_probe([1.0, -0.5], init=lambda rng: rng.standard_normal(2),
-                             trials=3, max_iters=0, seed=2)
-    np.testing.assert_array_equal(gaussian.final_points, drawn.final_points)
-    for init in ("uniform", "gaussian", np.ones(2)):
-        with pytest.raises(ValueError, match="init must be None or a callable"):
-            conjecture_probe([1.0, -0.5], init=init, trials=3, max_iters=0)
-
-
-def test_conjecture_probe_rejects_a_wrong_size_init():
-    # a length-1 start would otherwise broadcast one value to every coordinate
-    with pytest.raises(ValueError, match=r"init\(rng\) returned shape \(1,\)"):
-        conjecture_probe([1.0, -0.5, 2.0], init=lambda rng: [0.5], trials=2, max_iters=5)
-
-
-def test_run_subgradient_rejects_a_wrong_size_selection():
-    # a length-1 g would otherwise step every coordinate by the same amount
-    with pytest.raises(ValueError, match=r"selection\(u, k\) returned shape \(1,\)"):
-        run_subgradient([0.5, 0.2, 0.1], [1.0, 1.0, 1.0], StepSchedule(INV_K, 0.1),
-                        max_iters=5, selection=lambda u, k: [1.0])
-
-
 def test_batch_and_per_trial_paths_agree():
-    """The probe with the midpoint rule, the probe with that rule passed as a
-    callable selection, and run_subgradient from the same starts end on the
+    """The lockstep probe and run_subgradient from the same starts end on the
     same bits."""
     for ustar in ([1.0, 1.0], [1.0, -0.5, 2.0], np.linspace(-1.0, 1.5, 10)):
         ustar = np.asarray(ustar)
         batch = conjecture_probe(ustar, trials=20, max_iters=300, seed=3)
-        explicit = conjecture_probe(
-            ustar, trials=20, max_iters=300, seed=3,
-            selection=lambda u, k: subgradient_select(u, ustar),
-        )
-        assert batch.labels == explicit.labels
-        np.testing.assert_array_equal(batch.final_points, explicit.final_points)
         for t in range(3):
             u0 = np.random.default_rng([3, t]).standard_normal(ustar.size)
             traj = run_subgradient(u0, ustar, batch.schedule, 300, stop_tol=0.0)
-            np.testing.assert_array_equal(traj.final_point, batch.final_points[t])
+            np.testing.assert_array_equal(traj.points[-1], batch.final_points[t])
 
 
-def test_callable_probe_with_zero_iterations_labels_the_starts():
-    midpoint = conjecture_probe([1.0, 1.0], trials=2, max_iters=0, seed=5)
-    callable_ = conjecture_probe([1.0, 1.0], trials=2, max_iters=0, seed=5,
-                                 selection=lambda u, k: u)
-    assert callable_.labels == midpoint.labels
-    np.testing.assert_array_equal(callable_.final_points, midpoint.final_points)
-
-
-def test_callable_probe_steps_in_the_lockstep_loop(monkeypatch):
+def test_probe_steps_in_the_lockstep_loop(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("conjecture_probe called run_subgradient")
 
     monkeypatch.setattr(dynamics, "run_subgradient", refuse)
-    calls = []
+    shapes = []
 
-    def selection(u, k):
-        calls.append(k)
-        return subgradient_select(u, [1.0, -0.5, 2.0])
+    def recording(u, ustar):
+        shapes.append(u.shape)
+        return midpoint_subgradient(u, ustar)
 
-    report = conjecture_probe([1.0, -0.5, 2.0], trials=4, max_iters=3, seed=2,
-                              selection=selection)
+    monkeypatch.setattr(dynamics, "midpoint_subgradient", recording)
+    report = conjecture_probe([1.0, -0.5, 2.0], trials=4, max_iters=3, seed=2)
     assert report.trials == 4
-    # once per trial per step, step by step
-    assert calls == [1] * 4 + [2] * 4 + [3] * 4
-
-
-def test_a_zero_g_is_a_zero_step_not_the_end_of_a_trial():
-    ustar = np.array([1.0, -0.5, 2.0])
-    schedule = StepSchedule(INV_K, 0.2)
-
-    def selection(u, k):
-        return np.zeros(3) if k % 3 == 1 else subgradient_select(u, ustar)
-
-    report = conjecture_probe(ustar, schedule=schedule, trials=5, max_iters=40, seed=8,
-                              selection=selection)
-    for t in range(5):
-        u = np.random.default_rng([8, t]).standard_normal(3)
-        start = u
-        for k in range(1, 41):
-            u = u - schedule.step(k) * selection(u, k)
-        assert not np.array_equal(u, start)
-        np.testing.assert_array_equal(report.final_points[t], u)
+    # one kernel call on the whole stack per step
+    assert shapes == [(4, 3)] * 3
 
 
 def test_adversarial_selection_traps_on_the_polytope():
-    # the constant matrix -Sign(ustar ustar^T) is a valid subgradient choice
-    # everywhere on the spurious polytope and annihilates the whole line
-    # x + y = 0, so starts there never move
+    # the paper's potential risk: the constant matrix -Sign(ustar ustar^T) is
+    # a valid subgradient choice everywhere on the spurious polytope and
+    # annihilates the whole line x + y = 0, so a method that selects it
+    # never moves from starts there; the midpoint rule does not select it
     ustar = np.array([1.0, 1.0])
     z = -np.ones((2, 2))
-    report = conjecture_probe(
-        ustar,
-        init=lambda rng: rng.standard_normal() * np.array([1.0, -1.0]),
-        trials=40,
-        max_iters=200,
-        seed=5,
-        selection=lambda u, k: z @ u,
-    )
-    assert report.trapped > 0
-    assert report.successes == 0
+    schedule = StepSchedule(INV_SQRT_K, 0.1)
+    rng = np.random.default_rng(5)
+    trapped = 0
+    for _ in range(40):
+        u = start = rng.standard_normal() * np.array([1.0, -1.0])
+        for k in range(1, 201):
+            u = u - schedule.step(k) * (z @ u)
+        np.testing.assert_array_equal(u, start)
+        assert distance_to_ground_truths(u, ustar) > DEFAULT_TAU_SUCC
+        if project_to_spurious_set(u, ustar)[1] <= DEFAULT_TAU_TRAP:
+            assert in_subdifferential(z @ u, u, ustar)
+            trapped += 1
+    assert trapped > 0
+
+
+def test_nan_thresholds_are_refused():
+    schedule = StepSchedule(INV_K, 0.1)
+    with pytest.raises(ValueError, match="stop_tol must not be NaN"):
+        run_subgradient([1.0, 2.0], [1.0, 1.0], schedule, stop_tol=math.nan)
+    for name in ("tau_succ", "tau_trap"):
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            conjecture_probe([1.0, 1.0], trials=2, max_iters=2, **{name: math.nan})
 
 
 def test_report_counts_must_partition():
@@ -407,5 +367,10 @@ def test_grid_spec_validation():
         GridSpec(nx=0)
     with pytest.raises(ValueError):
         GridSpec(xmin=1.0, xmax=-1.0)
+    # a bound or a span that is not finite puts inf and nan in the sweep
+    for bounds in ({"xmax": math.inf}, {"ymin": -math.inf}, {"xmin": math.nan},
+                   {"xmin": -1e308, "xmax": 1e308}):
+        with pytest.raises(ValueError, match="must be finite"):
+            GridSpec(**bounds)
     with pytest.raises(ValueError):
         flow_field([1.0, 1.0, 1.0])

@@ -6,7 +6,9 @@ every name a script imports from the package exists (the scripts are
 parsed, never run), the test oracles in tests/oracles.py take nothing
 from the package but subdifferential_model while no library module imports
 them, and no function takes a tolerance as a parameter: the tolerances are
-the module constants EPS_ZERO, EPS_LP and EPS_DIR.
+the module constants EPS_ZERO, EPS_LP and EPS_DIR. Nor does any function
+take a selection or init hook: the dynamics step the midpoint subgradient
+from standard Gaussian starts.
 """
 
 import ast
@@ -77,19 +79,28 @@ def test_every_private_name_is_referenced():
 
 
 TOLERANCE_PARAMETERS = {"eps_zero", "eps_lp", "tol"}
+HOOK_PARAMETERS = {"selection", "init"}
 
 
-def tolerance_parameters(tree):
-    """function:parameter for every parameter named like a tolerance."""
+def named_parameters(tree, names):
+    """function:parameter for every parameter with one of the given names."""
     return [f"{node.name}:{arg.arg}" for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
-            if arg.arg in TOLERANCE_PARAMETERS]
+            if arg.arg in names]
+
+
+def package_parameters(names):
+    found = {name: named_parameters(tree, names) for name, tree in parse_package().items()}
+    return {name: params for name, params in found.items() if params}
 
 
 def test_no_function_takes_a_tolerance():
-    found = {name: tolerance_parameters(tree) for name, tree in parse_package().items()}
-    assert {name: params for name, params in found.items() if params} == {}
+    assert package_parameters(TOLERANCE_PARAMETERS) == {}
+
+
+def test_no_function_takes_a_selection_or_init_hook():
+    assert package_parameters(HOOK_PARAMETERS) == {}
 
 
 def package_imports(tree):
@@ -137,4 +148,9 @@ def test_the_checks_see_an_unused_import_and_an_orphan():
                       "        pass\n"
                       "def solve(lp, eps_lp=1e-9, atol=0.0):\n"
                       "    pass\n")
-    assert tolerance_parameters(knobs) == ["solve:eps_lp", "contains:tol"]
+    assert named_parameters(knobs, TOLERANCE_PARAMETERS) == ["solve:eps_lp", "contains:tol"]
+    hooks = ast.parse("def run(u0, ustar, schedule, selection=None):\n"
+                      "    pass\n"
+                      "def probe(ustar, init=None, *, initial=0):\n"
+                      "    pass\n")
+    assert named_parameters(hooks, HOOK_PARAMETERS) == ["run:selection", "probe:init"]

@@ -13,7 +13,6 @@ from l1landscape.stationarity import (
     NOT_STATIONARY,
     SPURIOUS,
     distance_to_ground_truths,
-    distance_to_stationary_set,
     expected_gaussian_separation,
     gaussian_separation,
     is_stationary_closed_form,
@@ -276,13 +275,12 @@ def test_distance_helpers():
     ustar = np.array([1.0, 1.0])
     assert distance_to_ground_truths(ustar, ustar) == 0.0
     assert distance_to_ground_truths(-ustar, ustar) == 0.0
-    assert distance_to_stationary_set([-1.0, 1.0], ustar) == 0.0
-    d = distance_to_stationary_set([2.0, 0.0], ustar)
+    assert project_to_spurious_set([-1.0, 1.0], ustar)[1] == 0.0
+    d = project_to_spurious_set([2.0, 0.0], ustar)[1]
     assert d == pytest.approx(math.sqrt(2.0), abs=1e-9)
-    # ustar = 0: the stationary set is {0}
-    assert distance_to_stationary_set([3.0, -4.0], [0.0, 0.0]) == 5.0
     # ustar below EPS_ZERO but nonzero: the polytope shrinks to a tiny box
-    assert distance_to_stationary_set([3.0, -4.0], [1e-10, -1e-10]) == pytest.approx(5.0, abs=1e-9)
+    d = project_to_spurious_set([3.0, -4.0], [1e-10, -1e-10])[1]
+    assert d == pytest.approx(5.0, abs=1e-9)
 
 
 def test_expected_gaussian_separation_values():

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -208,6 +209,15 @@ def test_tilt_probe_untilted_origin_is_fixed():
     report = tilt_divergence_probe_ex41(0.0, 0.0, StepSchedule(INV_SQRT_K, 200.0), 1000)
     assert not report.escaped
     assert report.final_x == 0.0
+
+
+def test_tilt_probe_refuses_nan():
+    schedule = StepSchedule(INV_SQRT_K, 200.0)
+    for name, args in (("a", (math.nan, 3.0)), ("x0", (0.01, math.nan))):
+        with pytest.raises(ValueError, match=f"{name} must not be NaN"):
+            tilt_divergence_probe_ex41(*args, schedule, 10)
+    with pytest.raises(ValueError, match="threshold must not be NaN"):
+        tilt_divergence_probe_ex41(0.01, 3.0, schedule, 10, threshold=math.nan)
 
 
 def test_tilt_samples_csv():
