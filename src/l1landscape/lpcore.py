@@ -9,20 +9,26 @@ stationarity certifier (membership of 0 in a sign polytope acting on u) and
 the second-subderivative evaluator (maximizing a quadratic form's linear
 representation over a face of that polytope). The solver is a two-phase
 bounded-variable primal simplex with Bland's rule for the entering variable,
-so runs are deterministic and cycling cannot persist. Instances here are tiny
-and dense; robustness is worth more than speed.
+so runs are deterministic and cycling cannot persist. Instances are dense,
+with up to a few thousand columns at n = 80, so the simplex keeps the basis
+inverse in product form instead of solving with the basis at every pivot. It
+recomputes that inverse every _REFACTOR_EVERY basis changes, and before any
+ratio test whose entering column has an entry small enough for the drift of
+the product form to decide which row blocks.
 
-Two shapes are answered in closed form without a pivot: solve() with no
-equality rows (m = 0), and the epigraph program of
+Three shapes are answered in closed form without a pivot: solve() with no
+equality rows (m = 0); the epigraph program of
 feasibility_min_infinity_norm() when the box has no free column or no row
-can move, where the optimum is ||A x0||_inf.
+can move, where the optimum is ||A x0||_inf; and the same program when A
+vanishes at the box point nearest 0, where the optimum is 0.
 
 Every OPTIMAL result carries the row duals of its final basis, from which
 feasibility_min_infinity_norm() reads a certificate w of its value.
 
 The feasibility tolerance EPS_LP is a module constant, like the pivoting
-tolerances: a solve accepts equality rows met to within EPS_LP, and the
-callers in stationarity read the same constant as their zero.
+tolerances and the two recompute triggers: a solve accepts equality rows
+met to within EPS_LP, and the callers in stationarity read the same
+constant as their zero.
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 _REDUCED_COST_TOL = 1e-10
 _RATIO_TOL = 1e-11
+# The kept basis inverse is recomputed after this many basis changes, and
+# whenever an entry of the entering column is no larger than _FRESH_BELOW
+# (and above _RATIO_TOL, so it takes part in the ratio test).
+_REFACTOR_EVERY = 64
+_FRESH_BELOW = 1e-7
 
 
 class NumericalFailureError(RuntimeError):
@@ -100,20 +111,34 @@ class LPResult:
     duals: np.ndarray | None = None  # (m,) row duals y, set when OPTIMAL
 
 
-def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
+def _refresh(a, basis, binv):
+    """Overwrite binv with a fresh inverse of a[:, basis]; False when singular."""
+    try:
+        binv[:] = np.linalg.inv(a[:, basis])
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _simplex(a, lo, hi, c, x, vstat, basis, binv, changes, budget):
     """Run primal pivots in place on at least one row; return (pivots_used,
-    stop, y), where stop is None at optimality, else PIVOT_BUDGET or
-    SINGULAR_BASIS. At optimality y solves B^T y = c_B for the final basis B:
-    the row duals from the pricing step that found no entering variable."""
+    stop, changes), where stop is None at optimality, else PIVOT_BUDGET or
+    SINGULAR_BASIS.
+
+    binv holds the inverse of a[:, basis] and is kept in place in product
+    form (Dantzig & Orchard-Hays, 1954): each basis change updates it by one
+    rank-one step, so pricing and the entering column cost a product with
+    binv rather than a fresh solve. changes counts the basis changes since
+    binv was last recomputed; np.linalg.inv recomputes it after
+    _REFACTOR_EVERY of them, and before a ratio test whose entering column
+    has an entry in (_RATIO_TOL, _FRESH_BELOW], where the drift of the
+    product form could flip which rows block.
+    """
     pivots = 0
     while True:
         if pivots >= budget:
-            return pivots, PIVOT_BUDGET, None
-        bmat = a[:, basis]
-        try:
-            y = np.linalg.solve(bmat.T, c[basis])
-        except np.linalg.LinAlgError:
-            return pivots, SINGULAR_BASIS, None
+            return pivots, PIVOT_BUDGET, changes
+        y = binv.T @ c[basis]
         d = c - (a.T @ y)
         eligible = (
             (((vstat == _AT_LOWER) & (d > _REDUCED_COST_TOL))
@@ -122,18 +147,21 @@ def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
         )
         idx = np.flatnonzero(eligible)
         if idx.size == 0:
-            return pivots, None, y
+            return pivots, None, changes
         enter = int(idx[0])  # Bland: smallest eligible index
         direction = 1.0 if vstat[enter] == _AT_LOWER else -1.0
 
-        try:
-            col = np.linalg.solve(bmat, a[:, enter])
-        except np.linalg.LinAlgError:
-            return pivots, SINGULAR_BASIS, None
+        col = binv @ a[:, enter]
+        size = np.abs(col)
+        if changes and np.any((size > _RATIO_TOL) & (size <= _FRESH_BELOW)):
+            if not _refresh(a, basis, binv):
+                return pivots, SINGULAR_BASIS, changes
+            changes = 0
+            col = binv @ a[:, enter]
         t_flip = hi[enter] - lo[enter]
         g = direction * col
         xb = x[basis]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t_down = np.where(g > _RATIO_TOL, (xb - lo[basis]) / g, np.inf)
             t_up = np.where(g < -_RATIO_TOL, (hi[basis] - xb) / (-g), np.inf)
         t_rows = np.maximum(np.minimum(t_down, t_up), 0.0)
@@ -161,6 +189,17 @@ def _simplex(a, b, lo, hi, c, x, vstat, basis, budget):
                 vstat[leaving] = _AT_UPPER
             basis[leave_row] = enter
             vstat[enter] = _BASIC
+            changes += 1
+            if changes >= _REFACTOR_EVERY:
+                if not _refresh(a, basis, binv):
+                    return pivots, SINGULAR_BASIS, changes
+                changes = 0
+            else:
+                # Eta step: row leave_row of binv is divided by the pivot and
+                # eliminated from every other row, so binv @ a[:, enter] = e_r.
+                pivot_row = binv[leave_row] / col[leave_row]
+                binv -= np.outer(col, pivot_row)
+                binv[leave_row] = pivot_row
         pivots += 1
 
 
@@ -169,10 +208,13 @@ def solve(lp: BoxEqLP) -> LPResult:
 
     Phase 1 drives artificial slack on each row to zero (INFEASIBLE when it
     cannot); phase 2 then optimizes the real objective with the artificials
-    pinned at zero. Pivots in both phases share one budget of
-    10 * (k + m)^2, after which the result is NUMERICAL_FAILURE. Every
-    result that is not OPTIMAL says why in its reason; an OPTIMAL one carries
-    the row duals of its final basis. Without equality rows the maximum is
+    pinned at zero. Phase 1 starts from the artificial basis diag(art_sign),
+    which is its own inverse, and phase 2 continues from the inverse phase 1
+    kept. Pivots in both phases share one budget of 10 * (k + m)^2, after
+    which the result is NUMERICAL_FAILURE. Every result that is not OPTIMAL
+    says why in its reason; an OPTIMAL one carries the row duals of its
+    final basis, solved from that basis with np.linalg.solve rather than
+    read from the kept inverse. Without equality rows the maximum is
     closed form: each variable sits at the bound its cost points to, and at
     its start where the cost is within the reduced-cost tolerance of 0.
     """
@@ -199,9 +241,10 @@ def solve(lp: BoxEqLP) -> LPResult:
     x1 = np.concatenate([x, np.abs(r)])
     vstat1 = np.concatenate([vstat, np.full(m, _BASIC)])
     basis = np.arange(k, k + m)
+    binv = np.diag(art_sign)  # the artificial basis is its own inverse
 
     c1 = np.concatenate([np.zeros(k), -np.ones(m)])
-    used, stop, _ = _simplex(a1, b, lo1, hi1, c1, x1, vstat1, basis, budget)
+    used, stop, changes = _simplex(a1, lo1, hi1, c1, x1, vstat1, basis, binv, 0, budget)
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 1")
     infeas = float(np.abs(b - a @ x1[:k]).max())
@@ -213,7 +256,12 @@ def solve(lp: BoxEqLP) -> LPResult:
     hi1[k:] = 0.0
     x1[k:] = 0.0
     c2 = np.concatenate([lp.objective, np.zeros(m)])
-    _, stop, y = _simplex(a1, b, lo1, hi1, c2, x1, vstat1, basis, budget - used)
+    _, stop, _ = _simplex(a1, lo1, hi1, c2, x1, vstat1, basis, binv, changes, budget - used)
+    if not stop:
+        try:
+            y = np.linalg.solve(a1[:, basis].T, c2[basis])
+        except np.linalg.LinAlgError:
+            stop = SINGULAR_BASIS
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 2")
 
@@ -237,12 +285,15 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix):
     sum_j min(lower_j (A^T w)_j, upper_j (A^T w)_j), equals the value, which
     proves it by weak duality (Boyd & Vandenberghe, Convex Optimization, 5.1.6).
 
-    A presolve answers two cases without building the program: no free
-    column (lower == upper), and no row that can move (every |A_ij| times
-    the bound of column j is 0). Both return ||A x0||_inf and x0, where x0
-    takes each column's bound closer to 0 (Andersen & Andersen, "Presolving
-    in linear programming", Math. Programming 71, 1995), and
-    w = sign(r_i) e_i for the first i maximizing |r_i|, r = A x0.
+    A presolve answers three cases without building the program. The first
+    two are no free column (lower == upper) and no row that can move (every
+    |A_ij| times the bound of column j is 0). Both return ||A x0||_inf and
+    x0, where x0 takes each column's bound closer to 0 (Andersen & Andersen,
+    "Presolving in linear programming", Math. Programming 71, 1995), and
+    w = sign(r_i) e_i for the first i maximizing |r_i|, r = A x0. The third
+    is A mid = 0 at mid = clip(0, lower, upper): a norm is never below 0, so
+    it returns (0.0, mid, 0). This is the stationarity LP at +-ustar, where
+    every residual entry vanishes.
     """
     lower, upper, a = _box(lower, upper, eq_matrix)
     m, k = a.shape
@@ -268,6 +319,10 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix):
         w = np.zeros(m)
         w[i] = np.sign(r[i])
         return float(abs(r[i])) + 0.0, x0, w
+    mid = np.clip(0.0, lower, upper)
+    if not np.any(a @ mid):
+        # A norm is never negative, so x = mid attains the least value 0.
+        return 0.0, mid, np.zeros(m)
 
     # Variable layout: [x (k), t (1), p (m), q (m)].
     total = k + 1 + 2 * m

@@ -159,6 +159,9 @@ def tilt_divergence_probe_ex41(a: float, x0: float, schedule: StepSchedule,
     nothing moves.
     """
     _reject_nan(a=a, x0=x0, threshold=threshold)
+    for name, value in (("a", a), ("x0", x0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
     x = float(x0)
     a = float(a)
     iterations = 0

@@ -2,15 +2,41 @@
 
 f and the residual are computed here with their own numpy expressions. The
 only library name used is subdifferential_model, whose free sign pairs the
-support-function enumeration runs over.
+support-function enumeration runs over. perfbench_module() loads a module of
+the benchmark, whose workloads and HiGHS oracle some tests reuse.
 """
 
+import importlib.util
 import math
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from l1landscape.core import subdifferential_model
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(stem):
+    """perfbench/<stem>.py as a module, loaded once from its file; the
+    benchmark directory is not a package."""
+    name = f"perfbench_{stem}"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module   # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def certify_scale_point(seed, rnd, label):
+    """(u, ustar) of the certify-scale operation labelled label, e.g.
+    "n40/face90", in round rnd of the benchmark seed."""
+    (op,) = [op for op in perfbench_module("workloads").CertifyScale(seed).round(rnd)
+             if op.label == label]
+    return op.args["u"], op.args["g"]
 
 
 def _f(u, ustar):

@@ -356,13 +356,17 @@ def test_config_null_is_unset(tmp_path, capsys):
     ("growth-check -g 1,1 --radius 8e307 --samples 2", "radius too large"),
     ("flow -g 1,1 --xmax inf", "grid bounds and spans must be finite"),
     ("flow -g 1,1 --xmin -1e308 --xmax 1e308 --nx 3 --ny 3", "spans must be finite"),
+    # finite bounds and spans, but the half-cell padding of the view box overflows
+    ("flow -g 1,1 --xmin -8e307 --xmax 8e307 --nx 2 --ny 2",
+     "grid bounds padded by half a cell must stay finite"),
     ("landscape -g 1,1 --xmin -1e308 --xmax 1e308 --nx 3 --ny 3", "spans must be finite"),
     ("conjecture -g 1,1 --tau-succ nan --trials 2 --max-iters 2", "tau_succ must not be NaN"),
     ("descend -g 1,1 -u0 1,2 --stop-tol nan", "stop_tol must not be NaN"),
     ("tilt ex41-probe -a 1 --threshold nan", "threshold must not be NaN"),
     ("tilt ex41-probe -a nan", "a must not be NaN"),
+    ("tilt ex41-probe -a inf --max-iters 5", "a must be finite"),
+    ("tilt ex41-probe -a 1 --x0 inf --max-iters 5", "x0 must be finite"),
     # results that are not finite have no strict JSON form
-    ("tilt ex41-probe -a inf --max-iters 5", "not JSON compliant"),
     ("tilt ex41-probe -a 1 --threshold inf --max-iters 5", "not JSON compliant"),
 ])
 def test_negative_counts_exit_one(capsys, command, message):

@@ -15,6 +15,7 @@ from l1landscape.lpcore import (
     feasibility_min_infinity_norm,
     solve,
 )
+from oracles import certify_scale_point, perfbench_module
 
 
 def brute_force_value(lp):
@@ -92,7 +93,10 @@ def test_failure_reason_names_a_singular_basis(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(lpcore.np.linalg, "solve", singular)
+    # recompute the kept basis inverse after every basis change, so phase 1
+    # meets the failing np.linalg.inv at its first one
+    monkeypatch.setattr(lpcore.np.linalg, "inv", singular)
+    monkeypatch.setattr(lpcore, "_REFACTOR_EVERY", 1)
     res = solve(BoxEqLP([-1.0, -1.0], [1.0, 1.0], [[1.0, 1.0]], [0.5], [1.0, 0.0]))
     assert res.status == NUMERICAL_FAILURE
     assert res.reason == "singular basis in phase 1"
@@ -261,3 +265,53 @@ def test_min_infinity_norm_dual_certificate():
         bound = np.minimum(lo * g, hi * g).sum()
         assert abs(bound - value) <= 1e-9 * value
     assert checked >= 150
+
+
+# Spurious certify-scale points with 90% of coordinates on the box face, whose
+# epigraph LPs run a few hundred phase-1 pivots at n = 40.
+FACE90 = [certify_scale_point(seed, rnd, f"n{n}/face90")
+          for seed in (1, 2) for rnd in range(3) for n in (20, 40)]
+FACE90.append(certify_scale_point(2, 51, "n40/face90"))
+
+
+def epigraph_data(u, ustar):
+    """(c0, M): min ||c0 + M x||_inf over x in [-1, 1]^p is the stationarity
+    LP at u, with M built from the sign pattern by the benchmark oracle."""
+    _, c0, m, _, _ = perfbench_module("oracle").sign_model(np.asarray(u), np.asarray(ustar))
+    return c0, m
+
+
+def min_norm(c0, m):
+    """The epigraph value with c0 entering as a column pinned to 1."""
+    lower = np.concatenate([[1.0], -np.ones(m.shape[1])])
+    return feasibility_min_infinity_norm(lower, np.ones(lower.size),
+                                         np.hstack([c0[:, None], m]))[0]
+
+
+def test_refresh_period_of_the_kept_inverse_changes_no_answer(monkeypatch):
+    """Recomputing the basis inverse after every basis change, at the
+    default period, or never on schedule gives the same statuses, and values
+    within 1e-9, on random LPs and on certify-scale epigraph LPs."""
+    answers = {}
+    for period in (1, 64, 10**9):
+        monkeypatch.setattr(lpcore, "_REFACTOR_EVERY", period)
+        rng = np.random.default_rng(3)
+        results = [solve(random_instance(rng, feasible=trial % 2 == 0))
+                   for trial in range(160)]
+        answers[period] = ([res.status for res in results],
+                           np.array([res.value for res in results]),
+                           np.array([min_norm(*epigraph_data(u, g)) for u, g in FACE90]))
+    statuses, values, epigraph = answers[64]
+    assert statuses.count(OPTIMAL) >= 60
+    for other_statuses, other_values, other_epigraph in answers.values():
+        assert other_statuses == statuses
+        np.testing.assert_allclose(other_values, values, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(other_epigraph, epigraph, rtol=0.0, atol=1e-9)
+
+
+def test_epigraph_value_matches_highs():
+    pytest.importorskip("scipy")
+    oracle = perfbench_module("oracle")
+    for u, ustar in FACE90:
+        c0, m = epigraph_data(u, ustar)
+        assert abs(min_norm(c0, m) - oracle.highs_min_inf_norm(c0, m)) <= 1e-6

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from l1landscape import lpcore, stationarity
 from l1landscape.core import subdifferential_model
-from l1landscape.lpcore import NumericalFailureError
 from l1landscape.stationarity import (
     GROUND_TRUTH_MINUS,
     GROUND_TRUTH_PLUS,
@@ -19,7 +18,7 @@ from l1landscape.stationarity import (
     is_stationary_lp,
     project_to_spurious_set,
 )
-from oracles import pattern_is_ambiguous
+from oracles import certify_scale_point, pattern_is_ambiguous
 
 BOTH = (is_stationary_closed_form, is_stationary_lp)
 
@@ -323,11 +322,12 @@ def test_gaussian_separation_validates_arguments():
         gaussian_separation(4, 10, seed=-1)
 
 
-@pytest.mark.xfail(raises=NumericalFailureError, strict=True,
-                   reason="phase 1 of the epigraph LP meets a singular basis here")
 def test_lp_certifier_on_a_singular_phase_one_basis():
-    # a spurious point with 9 of 10 coordinates on the box face and one
-    # |ustar_i| = 7.9e-5; the closed form certifies it
+    # two spurious points whose epigraph LP once met a basis LAPACK calls
+    # singular in phase 1: 9 of 10 coordinates on the box face with one
+    # |ustar_i| = 7.9e-5, where a fresh solve at every pivot failed; and
+    # certify-scale seed 2, round 51, n40/face90, where a kept inverse
+    # recomputed only every 64 basis changes drifted into one
     u = [-0.41566138146244624, -1.830369861635468, 0.3736184332528183,
          -0.9710849374641949, -7.863467519813408e-05, -0.17424604000433436,
          0.3415261536132461, -1.079959206905213, -0.6072699121373675,
@@ -336,5 +336,23 @@ def test_lp_certifier_on_a_singular_phase_one_basis():
              -0.9710849374641949, -7.863467519813408e-05, 0.2834318192359391,
              0.3415261536132461, -1.079959206905213, 0.6072699121373675,
              -0.26127982932894545]
-    assert is_stationary_closed_form(u, ustar).kind == SPURIOUS
-    assert is_stationary_lp(u, ustar).kind == SPURIOUS
+    for u, ustar in ((u, ustar), certify_scale_point(2, 51, "n40/face90")):
+        assert is_stationary_closed_form(u, ustar).kind == SPURIOUS
+        assert is_stationary_lp(u, ustar).kind == SPURIOUS
+
+
+def test_lp_certifier_at_ground_truths_runs_no_pivot(monkeypatch):
+    # at +-ustar every residual entry is 0, so A vanishes at the box point
+    # nearest 0 and the epigraph presolve answers exactly 0
+    def no_pivot(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(lpcore, "_simplex", no_pivot)
+    rng = np.random.default_rng(22)
+    for n in (2, 5, 10, 20, 40, 80):
+        ustar = rng.standard_normal(n)
+        for u, kind in ((ustar, GROUND_TRUTH_PLUS), (-ustar, GROUND_TRUTH_MINUS)):
+            verdict = is_stationary_lp(u, ustar)
+            assert verdict.kind == kind
+            assert verdict.violation == 0.0
+            np.testing.assert_array_equal(verdict.witness, np.zeros((n, n)))

@@ -220,6 +220,18 @@ def test_tilt_probe_refuses_nan():
         tilt_divergence_probe_ex41(0.01, 3.0, schedule, 10, threshold=math.nan)
 
 
+def test_tilt_probe_refuses_infinite_start_and_tilt():
+    # an infinite a or x0 would run to a non-finite final_x; an infinite
+    # threshold stays allowed, as a probe that never stops early
+    schedule = StepSchedule(INV_SQRT_K, 200.0)
+    for name, args in (("a", (math.inf, 3.0)), ("a", (-math.inf, 3.0)),
+                       ("x0", (0.01, math.inf)), ("x0", (0.01, -math.inf))):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            tilt_divergence_probe_ex41(*args, schedule, 10)
+    report = tilt_divergence_probe_ex41(0.01, 3.0, schedule, 10, threshold=math.inf)
+    assert not report.escaped
+
+
 def test_tilt_samples_csv():
     buf = io.StringIO()
     xs = np.linspace(-1.0, 1.0, 5)
