@@ -33,14 +33,28 @@ EPS_ZERO = 1e-9
 # at most this many residual entries, so their memory does not grow as K n^2.
 STACK_ENTRIES = 1 << 20
 
+# The largest |entry| a point or ground truth may have. Below it every
+# residual entry is at most 2e200, so f <= n^2 1e200 and the squared norm of
+# the midpoint subgradient, at most n^3 1e200, stay finite for n below 1e36.
+# The float limit sqrt(max / 2) would keep the residual finite but let f
+# overflow already at n = 2.
+MAX_ENTRY = 1e100
+
+
+def _check_entries(v: np.ndarray) -> None:
+    # The comparison is False for NaN, so it refuses every non-finite entry.
+    if not np.abs(v).max() <= MAX_ENTRY:
+        raise ValueError(f"vector entries must be finite and at most {MAX_ENTRY:g} "
+                         "in magnitude")
+
 
 def as_vector(u) -> np.ndarray:
-    """Validate and convert to a 1-D float array with finite entries."""
+    """Validate and convert to a 1-D float array with entries of magnitude at
+    most MAX_ENTRY."""
     v = np.asarray(u, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
+    _check_entries(v)
     return v
 
 
@@ -60,8 +74,7 @@ def _points(u, ustar) -> tuple[np.ndarray, np.ndarray]:
     ustar = as_vector(ustar)
     if u.shape[0] < 1 or u.shape[1] != ustar.size:
         raise ValueError(f"expected a stack of shape (K, {ustar.size}), got {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("vector entries must be finite")
+    _check_entries(u)
     return u, ustar
 
 

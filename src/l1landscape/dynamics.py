@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _pair, _reject_nan, as_vector, midpoint_subgradient, objective
+from .core import MAX_ENTRY, _pair, _reject_nan, as_vector, midpoint_subgradient, objective
 from .stationarity import _spurious_distance, distance_to_ground_truths
 
 INV_K = "inv_k"
@@ -270,9 +270,11 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs at least one point per axis")
-        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax,
-                                       self.xmax - self.xmin, self.ymax - self.ymin))):
-            raise ValueError("grid bounds and spans must be finite")
+        # Bounds within MAX_ENTRY keep every grid point a valid vector, and
+        # the spans and the flow figure's padded view box finite.
+        if not all(abs(b) <= MAX_ENTRY for b in (self.xmin, self.xmax, self.ymin, self.ymax)):
+            raise ValueError(f"grid bounds and spans must be finite, with bounds at most "
+                             f"{MAX_ENTRY:g} in magnitude")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("grid bounds must be increasing")
 

@@ -16,14 +16,15 @@ recomputes that inverse every _REFACTOR_EVERY basis changes, and before any
 ratio test whose entering column has an entry small enough for the drift of
 the product form to decide which row blocks.
 
-Three shapes are answered in closed form without a pivot: solve() with no
-equality rows (m = 0); the epigraph program of
-feasibility_min_infinity_norm() when the box has no free column or no row
-can move, where the optimum is ||A x0||_inf; and the same program when A
-vanishes at the box point nearest 0, where the optimum is 0.
+Every LP, with or without equality rows, runs the same two phases. Two
+shapes of the epigraph program of feasibility_min_infinity_norm() are
+answered in closed form without a pivot: a box with no free column, where
+the optimum is ||A lower||_inf, and a box whose point nearest 0 has
+A x = 0, where the optimum is 0.
 
-Every OPTIMAL result carries the row duals of its final basis, from which
-feasibility_min_infinity_norm() reads a certificate w of its value.
+Every OPTIMAL result carries the row duals of its final basis, read from the
+basis inverse the simplex keeps; feasibility_min_infinity_norm() reads a
+certificate w of its value from them.
 
 The feasibility tolerance EPS_LP is a module constant, like the pivoting
 tolerances and the two recompute triggers: a solve accepts equality rows
@@ -136,8 +137,6 @@ def _simplex(a, lo, hi, c, x, vstat, basis, binv, changes, budget):
     """
     pivots = 0
     while True:
-        if pivots >= budget:
-            return pivots, PIVOT_BUDGET, changes
         y = binv.T @ c[basis]
         d = c - (a.T @ y)
         eligible = (
@@ -148,6 +147,8 @@ def _simplex(a, lo, hi, c, x, vstat, basis, binv, changes, budget):
         idx = np.flatnonzero(eligible)
         if idx.size == 0:
             return pivots, None, changes
+        if pivots >= budget:
+            return pivots, PIVOT_BUDGET, changes
         enter = int(idx[0])  # Bland: smallest eligible index
         direction = 1.0 if vstat[enter] == _AT_LOWER else -1.0
 
@@ -165,7 +166,7 @@ def _simplex(a, lo, hi, c, x, vstat, basis, binv, changes, budget):
             t_down = np.where(g > _RATIO_TOL, (xb - lo[basis]) / g, np.inf)
             t_up = np.where(g < -_RATIO_TOL, (hi[basis] - xb) / (-g), np.inf)
         t_rows = np.maximum(np.minimum(t_down, t_up), 0.0)
-        t_min_rows = float(t_rows.min())
+        t_min_rows = float(t_rows.min(initial=np.inf))  # inf without rows
 
         if t_flip <= t_min_rows:
             # The entering variable crosses to its other bound; basis unchanged.
@@ -213,10 +214,10 @@ def solve(lp: BoxEqLP) -> LPResult:
     kept. Pivots in both phases share one budget of 10 * (k + m)^2, after
     which the result is NUMERICAL_FAILURE. Every result that is not OPTIMAL
     says why in its reason; an OPTIMAL one carries the row duals of its
-    final basis, solved from that basis with np.linalg.solve rather than
-    read from the kept inverse. Without equality rows the maximum is
-    closed form: each variable sits at the bound its cost points to, and at
-    its start where the cost is within the reduced-cost tolerance of 0.
+    final basis, the prices of the last pricing step, read from the kept
+    inverse. Without equality rows both phases still run: phase 1 has
+    nothing to do, and phase 2 flips each variable whose cost is beyond the
+    reduced-cost tolerance to the bound that cost points to.
     """
     a = lp.eq_matrix
     b = lp.eq_rhs
@@ -226,11 +227,6 @@ def solve(lp: BoxEqLP) -> LPResult:
     # Structural variables start at the bound closer to zero.
     start_low = np.abs(lp.lower) <= np.abs(lp.upper)
     x = np.where(start_low, lp.lower, lp.upper).astype(float)
-    if m == 0:
-        c = lp.objective
-        x = np.where(c > _REDUCED_COST_TOL, lp.upper,
-                     np.where(c < -_REDUCED_COST_TOL, lp.lower, x))
-        return LPResult(OPTIMAL, float(c @ x), x, 0.0, duals=np.zeros(0))
     vstat = np.where(start_low, _AT_LOWER, _AT_UPPER).astype(int)
 
     r = b - a @ x
@@ -247,7 +243,7 @@ def solve(lp: BoxEqLP) -> LPResult:
     used, stop, changes = _simplex(a1, lo1, hi1, c1, x1, vstat1, basis, binv, 0, budget)
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 1")
-    infeas = float(np.abs(b - a @ x1[:k]).max())
+    infeas = float(np.abs(b - a @ x1[:k]).max(initial=0.0))
     if infeas > EPS_LP:
         return LPResult(INFEASIBLE, np.nan, None, infeas, ROWS_UNMET)
 
@@ -257,19 +253,15 @@ def solve(lp: BoxEqLP) -> LPResult:
     x1[k:] = 0.0
     c2 = np.concatenate([lp.objective, np.zeros(m)])
     _, stop, _ = _simplex(a1, lo1, hi1, c2, x1, vstat1, basis, binv, changes, budget - used)
-    if not stop:
-        try:
-            y = np.linalg.solve(a1[:, basis].T, c2[basis])
-        except np.linalg.LinAlgError:
-            stop = SINGULAR_BASIS
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 2")
 
     xs = x1[:k]
-    residual_norm = float(np.abs(a @ xs - b).max())
+    residual_norm = float(np.abs(a @ xs - b).max(initial=0.0))
     if residual_norm > EPS_LP:
         return LPResult(NUMERICAL_FAILURE, np.nan, xs, residual_norm, RESIDUAL_ABOVE_EPS)
-    return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm, duals=y)
+    return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm,
+                    duals=binv.T @ c2[basis])
 
 
 def feasibility_min_infinity_norm(lower, upper, eq_matrix):
@@ -285,40 +277,37 @@ def feasibility_min_infinity_norm(lower, upper, eq_matrix):
     sum_j min(lower_j (A^T w)_j, upper_j (A^T w)_j), equals the value, which
     proves it by weak duality (Boyd & Vandenberghe, Convex Optimization, 5.1.6).
 
-    A presolve answers three cases without building the program. The first
-    two are no free column (lower == upper) and no row that can move (every
-    |A_ij| times the bound of column j is 0). Both return ||A x0||_inf and
-    x0, where x0 takes each column's bound closer to 0 (Andersen & Andersen,
-    "Presolving in linear programming", Math. Programming 71, 1995), and
-    w = sign(r_i) e_i for the first i maximizing |r_i|, r = A x0. The third
-    is A mid = 0 at mid = clip(0, lower, upper): a norm is never below 0, so
-    it returns (0.0, mid, 0). This is the stationarity LP at +-ustar, where
-    every residual entry vanishes.
+    A presolve answers two cases without building the program (Andersen &
+    Andersen, "Presolving in linear programming", Math. Programming 71,
+    1995). With no free column (lower == upper) it returns ||A lower||_inf,
+    x = lower and w = sign(r_i) e_i for the first i maximizing |r_i|,
+    r = A lower. When A mid = 0 at mid = clip(0, lower, upper), a norm is
+    never below 0, so it returns (0.0, mid, 0). This is the stationarity LP
+    at +-ustar, where every residual entry vanishes, and every box on which
+    A x is 0 throughout. Without rows the value is 0 at mid.
     """
     lower, upper, a = _box(lower, upper, eq_matrix)
     m, k = a.shape
 
-    start_low = np.abs(lower) <= np.abs(upper)
-    x0 = np.where(start_low, lower, upper).astype(float)
     if m == 0:
         # No row, so no t_cap: the bounds are all the data there is to check.
         if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
             raise ValueError("all problem data must be finite")
-        return 0.0, x0, np.zeros(0)
+        return 0.0, np.clip(0.0, lower, upper), np.zeros(0)
     with np.errstate(invalid="ignore"):  # 0 * inf is nan, which the check below rejects
         row_bound = np.maximum(np.abs(a * lower), np.abs(a * upper)).sum(axis=1)
     t_cap = float(row_bound.max())
     if not math.isfinite(t_cap):
         # Every entry of A and of both bounds enters t_cap, so this is the
-        # check solve makes, in time for the presolve exit.
+        # check solve makes, in time for the presolve exits.
         raise ValueError("all problem data must be finite")
-    if t_cap == 0.0 or np.array_equal(lower, upper):
-        # x0 is the only feasible x, or every row is 0 on the whole box.
-        r = a @ x0
+    if np.array_equal(lower, upper):
+        # lower is the only feasible x.
+        r = a @ lower
         i = int(np.abs(r).argmax())
         w = np.zeros(m)
         w[i] = np.sign(r[i])
-        return float(abs(r[i])) + 0.0, x0, w
+        return float(abs(r[i])) + 0.0, lower, w
     mid = np.clip(0.0, lower, upper)
     if not np.any(a @ mid):
         # A norm is never negative, so x = mid attains the least value 0.

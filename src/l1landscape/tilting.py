@@ -159,7 +159,7 @@ def tilt_divergence_probe_ex41(a: float, x0: float, schedule: StepSchedule,
     nothing moves.
     """
     _reject_nan(a=a, x0=x0, threshold=threshold)
-    for name, value in (("a", a), ("x0", x0)):
+    for name, value in (("a", a), ("x0", x0), ("threshold", threshold)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
     x = float(x0)

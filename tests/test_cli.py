@@ -247,7 +247,10 @@ def test_numerical_failure_exits_three(capsys, monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    monkeypatch.setattr(lpcore.np.linalg, "solve", singular)
+    # recompute the kept basis inverse after every basis change, so the
+    # epigraph LP meets the failing np.linalg.inv at its first one
+    monkeypatch.setattr(lpcore.np.linalg, "inv", singular)
+    monkeypatch.setattr(lpcore, "_REFACTOR_EVERY", 1)
     code, out, err = run_cli(capsys, "certify", "-u", "-1,1", "-g", "1,1")
     assert code == 3
     assert out == ""
@@ -351,28 +354,34 @@ def test_config_null_is_unset(tmp_path, capsys):
     ("growth-check -g 1,1 --radius nan", "radius must be positive"),
     ("growth-check -g 1,1 --radius inf", "radius must be positive"),
     ("descend -g 1,1 --schedule inv_sqrt_k:inf", "c must be positive"),
-    # 2 * radius overflows in the sampler; f overflows at the samples
+    # 2 * radius overflows in the sampler; the samples pass core.MAX_ENTRY
     ("growth-check -g 1,1 --radius 1e308 --samples 2", "2 * radius finite"),
     ("growth-check -g 1,1 --radius 8e307 --samples 2", "radius too large"),
     ("flow -g 1,1 --xmax inf", "grid bounds and spans must be finite"),
     ("flow -g 1,1 --xmin -1e308 --xmax 1e308 --nx 3 --ny 3", "spans must be finite"),
-    # finite bounds and spans, but the half-cell padding of the view box overflows
+    # finite bounds and spans, but bounds beyond core.MAX_ENTRY
     ("flow -g 1,1 --xmin -8e307 --xmax 8e307 --nx 2 --ny 2",
-     "grid bounds padded by half a cell must stay finite"),
+     "grid bounds and spans must be finite, with bounds at most 1e+100"),
     ("landscape -g 1,1 --xmin -1e308 --xmax 1e308 --nx 3 --ny 3", "spans must be finite"),
+    # finite entries whose products overflow u u^T; the suite's warnings
+    # filter turns numpy's overflow warning into a failure
+    ("landscape -g 1,1 --xmin -8e307 --xmax 8e307 --nx 2 --ny 2", "at most 1e+100 in magnitude"),
+    ("flow -g 1,1 --xmin -1e200 --xmax 1e200 --nx 3 --ny 3", "at most 1e+100 in magnitude"),
+    ("certify -u 1e200,1 -g 1,1", "vector entries must be finite and at most 1e+100"),
     ("conjecture -g 1,1 --tau-succ nan --trials 2 --max-iters 2", "tau_succ must not be NaN"),
     ("descend -g 1,1 -u0 1,2 --stop-tol nan", "stop_tol must not be NaN"),
     ("tilt ex41-probe -a 1 --threshold nan", "threshold must not be NaN"),
     ("tilt ex41-probe -a nan", "a must not be NaN"),
     ("tilt ex41-probe -a inf --max-iters 5", "a must be finite"),
     ("tilt ex41-probe -a 1 --x0 inf --max-iters 5", "x0 must be finite"),
-    # results that are not finite have no strict JSON form
-    ("tilt ex41-probe -a 1 --threshold inf --max-iters 5", "not JSON compliant"),
+    # strict JSON has no inf, so the report could not echo an infinite threshold
+    ("tilt ex41-probe -a 1 --threshold inf --max-iters 5", "threshold must be finite"),
 ])
 def test_negative_counts_exit_one(capsys, command, message):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 1
     assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 
 

@@ -69,6 +69,14 @@ def test_box_only_maximum():
         np.testing.assert_array_equal(res.solution, x)
 
 
+def test_lp_without_variables_or_rows_is_optimal():
+    # both phases run on the empty program; the pivot budget, 0 here, is
+    # only spent by a pivot that optimality still needs
+    res = solve(BoxEqLP([], [], np.zeros((0, 0)), [], []))
+    assert (res.status, res.value, res.residual_norm) == (OPTIMAL, 0.0, 0.0)
+    assert res.solution.shape == res.duals.shape == (0,)
+
+
 def test_feasibility_on_hyperplane():
     res = solve(BoxEqLP([-1.0, -1.0], [1.0, 1.0], [[1.0, 1.0]], [0.0], [0.0, 0.0]))
     assert res.status == OPTIMAL
@@ -307,6 +315,40 @@ def test_refresh_period_of_the_kept_inverse_changes_no_answer(monkeypatch):
         assert other_statuses == statuses
         np.testing.assert_allclose(other_values, values, rtol=0.0, atol=1e-9)
         np.testing.assert_allclose(other_epigraph, epigraph, rtol=0.0, atol=1e-9)
+
+
+def test_duals_price_the_final_basis(monkeypatch):
+    """The duals y of every OPTIMAL result, read from the kept inverse, solve
+    B^T y = c_B for its final basis B (artificial columns included) to
+    1e-9 relative, on random LPs and on certify-scale epigraph LPs."""
+    phases, priced = [], []
+    simplex, solve_lp = lpcore._simplex, lpcore.solve
+
+    def recording_simplex(a, lo, hi, c, x, vstat, basis, *rest):
+        phases.append((a, c, basis))   # basis is updated in place
+        return simplex(a, lo, hi, c, x, vstat, basis, *rest)
+
+    def recording_solve(lp):
+        phases.clear()
+        res = solve_lp(lp)
+        if res.status == OPTIMAL:
+            a, c, basis = phases[-1]
+            priced.append((a[:, basis], c[basis], res.duals))
+        return res
+
+    monkeypatch.setattr(lpcore, "_simplex", recording_simplex)
+    monkeypatch.setattr(lpcore, "solve", recording_solve)
+    rng = np.random.default_rng(3)
+    for trial in range(160):
+        lpcore.solve(random_instance(rng, feasible=trial % 2 == 0))
+    assert len(priced) >= 60
+    random_lps = len(priced)
+    for u, ustar in FACE90:
+        min_norm(*epigraph_data(u, ustar))
+    assert len(priced) == random_lps + len(FACE90)
+    for b, c_b, y in priced:
+        scale = max(1.0, np.abs(c_b).max(initial=0.0))
+        assert np.abs(b.T @ y - c_b).max(initial=0.0) <= 1e-9 * scale
 
 
 def test_epigraph_value_matches_highs():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from l1landscape import lpcore, secondorder, stationarity
 from l1landscape.core import (
+    EPS_ZERO,
     SubdifferentialModel,
     residual_pattern,
     subdifferential_model,
@@ -26,7 +27,7 @@ from l1landscape.stationarity import (
     min_norm_element,
     project_to_spurious_set,
 )
-from oracles import in_face, second_subderivative_grid
+from oracles import in_face, perfbench_module, second_subderivative_grid
 
 
 def random_spurious(rng, n):
@@ -283,6 +284,32 @@ def test_classify_point_descends_along_the_min_norm_duals():
     np.testing.assert_array_equal(res.descent_direction, -w / np.linalg.norm(w))
     assert abs(np.abs(w).sum() - 1.0) <= 1e-12
     assert model.support(-w) == pytest.approx(-value, rel=1e-9)
+
+
+def test_min_norm_duals_certify_the_grid_n2_dual_route_points():
+    """On the benchmark's grid-n2 points (31 x 31 on [-2.5, 2.5]^2 for two
+    ground truths), classify_point descends along -w at exactly 14: there
+    neither the midpoint subgradient nor the min-norm element descends. At
+    each, w proves the min-norm value: ||w||_1 = 1 and df(u)(-w) = -value."""
+    def descends(model, g):
+        norm = float(np.linalg.norm(g))
+        return norm > EPS_ZERO and model.support(-g / norm) < -EPS_DIR
+
+    checked = 0
+    for op in perfbench_module("workloads").GridN2(1).round(0):
+        u, ustar = op.args["u"], op.args["g"]
+        if is_stationary_closed_form(u, ustar).is_stationary:
+            continue
+        model = subdifferential_model(u, ustar)
+        value, _, element, w = min_norm_element(model)
+        if descends(model, model.fixed_vector()) or descends(model, element):
+            continue
+        checked += 1
+        assert abs(np.abs(w).sum() - 1.0) <= 1e-12
+        assert model.support(-w) == pytest.approx(-value, rel=1e-9)
+        descent = classify_point(u, ustar).descent_direction
+        assert descent.tobytes() == (-w / np.linalg.norm(w)).tobytes()
+    assert checked == 14
 
 
 @pytest.mark.parametrize("point, kind", [

@@ -221,15 +221,15 @@ def test_tilt_probe_refuses_nan():
 
 
 def test_tilt_probe_refuses_infinite_start_and_tilt():
-    # an infinite a or x0 would run to a non-finite final_x; an infinite
-    # threshold stays allowed, as a probe that never stops early
+    # an infinite a or x0 would run to a non-finite final_x, and the report
+    # echoes the threshold, which strict JSON cannot write when infinite
     schedule = StepSchedule(INV_SQRT_K, 200.0)
     for name, args in (("a", (math.inf, 3.0)), ("a", (-math.inf, 3.0)),
                        ("x0", (0.01, math.inf)), ("x0", (0.01, -math.inf))):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             tilt_divergence_probe_ex41(*args, schedule, 10)
-    report = tilt_divergence_probe_ex41(0.01, 3.0, schedule, 10, threshold=math.inf)
-    assert not report.escaped
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        tilt_divergence_probe_ex41(0.01, 3.0, schedule, 10, threshold=math.inf)
 
 
 def test_tilt_samples_csv():
