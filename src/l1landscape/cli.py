@@ -26,6 +26,7 @@ import sys
 
 import numpy as np
 
+from .core import _require_finite
 from .dynamics import (
     DEFAULT_SCHEDULE,
     GridSpec,
@@ -366,8 +367,9 @@ def cmd_tilt_f_certify(opts: dict) -> int:
 def cmd_tilt_samples(opts: dict) -> int:
     a = _require(opts, "a", float)
     opts = {"fn": EX42, "xmin": -5.0, "xmax": 5.0, "num": 1001, **opts}
-    xs = np.linspace(_require(opts, "xmin", float), _require(opts, "xmax", float),
-                     _require(opts, "num", int))
+    xmin, xmax = _require(opts, "xmin", float), _require(opts, "xmax", float)
+    _require_finite(xmin=xmin, xmax=xmax)
+    xs = np.linspace(xmin, xmax, _require(opts, "num", int))
     buf = io.StringIO()
     write_tilt_samples_csv(_require(opts, "fn", str), a, xs, buf)
     _emit(buf.getvalue(), opts.get("out"))
@@ -471,7 +473,7 @@ def build_parser() -> _Parser:
     q = tilt_sub.add_parser("f-certify", help="sharp-local-min certificate for "
                                               "the tilted matrix objective")
     _add_common(q, "ground_truth", "point", "out")
-    q.add_argument("-a", dest="a", help="tilt vector a1,a2")
+    q.add_argument("-a", dest="a", help="comma-separated tilt vector")
     q.set_defaults(func=cmd_tilt_f_certify)
 
     q = tilt_sub.add_parser("samples", help="CSV samples of g and its tilt")

@@ -86,6 +86,15 @@ def _reject_nan(**values) -> None:
             raise ValueError(f"{name} must not be NaN")
 
 
+def _require_finite(**values) -> None:
+    """_reject_nan, then refuse an infinite value by name: a result built
+    from it is not finite, and strict JSON cannot echo it."""
+    _reject_nan(**values)
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def _row_blocks(u: np.ndarray) -> list[np.ndarray]:
     """Row blocks of a stack u (K, n), each of at most STACK_ENTRIES residual
     entries; [] when u is one point or fits in one block."""

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_ENTRY, _pair, _reject_nan, as_vector, midpoint_subgradient, objective
+from .core import (MAX_ENTRY, _pair, _reject_nan, _require_finite, as_vector,
+                   midpoint_subgradient, objective)
 from .stationarity import _spurious_distance, distance_to_ground_truths
 
 INV_K = "inv_k"
@@ -225,7 +226,7 @@ def conjecture_probe(ustar, schedule: StepSchedule = DEFAULT_SCHEDULE,
         raise ValueError("trials must be at least 1")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    _reject_nan(tau_succ=tau_succ, tau_trap=tau_trap)
+    _require_finite(tau_succ=tau_succ, tau_trap=tau_trap)
     n = ustar.size
 
     finals = np.empty((trials, n))

@@ -28,8 +28,9 @@ certificate w of its value from them.
 
 The feasibility tolerance EPS_LP is a module constant, like the pivoting
 tolerances and the two recompute triggers: a solve accepts equality rows
-met to within EPS_LP, and the callers in stationarity read the same
-constant as their zero.
+met to within EPS_LP, or to within EPS_LP relative to the size of the terms
+a row sums, and the callers in stationarity read the same constant as
+their zero.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest equality-row residual an OPTIMAL result may carry.
+# Largest equality-row residual an OPTIMAL result may carry, absolute or
+# relative to the row's terms (_rows_met).
 EPS_LP = 1e-9
 
 OPTIMAL = "optimal"
@@ -110,6 +112,17 @@ class LPResult:
     residual_norm: float
     reason: str | None = None  # set whenever status is not OPTIMAL
     duals: np.ndarray | None = None  # (m,) row duals y, set when OPTIMAL
+
+
+def _rows_met(a, x, b, residual) -> bool:
+    """residual = ||A x - b||_inf is at most EPS_LP, or at most EPS_LP times
+    the size of the terms it is summed from, max(1, || |A| |x| ||_inf,
+    ||b||_inf); that scale is computed only when the absolute test fails."""
+    if residual <= EPS_LP:
+        return True
+    scale = max(1.0, float((np.abs(a) @ np.abs(x)).max(initial=0.0)),
+                float(np.abs(b).max(initial=0.0)))
+    return residual <= EPS_LP * scale
 
 
 def _refresh(a, basis, binv):
@@ -244,7 +257,7 @@ def solve(lp: BoxEqLP) -> LPResult:
     if stop:
         return LPResult(NUMERICAL_FAILURE, np.nan, None, np.nan, f"{stop} in phase 1")
     infeas = float(np.abs(b - a @ x1[:k]).max(initial=0.0))
-    if infeas > EPS_LP:
+    if not _rows_met(a, x1[:k], b, infeas):
         return LPResult(INFEASIBLE, np.nan, None, infeas, ROWS_UNMET)
 
     # Pin artificials at zero so phase 2 cannot reopen the rows.
@@ -258,7 +271,7 @@ def solve(lp: BoxEqLP) -> LPResult:
 
     xs = x1[:k]
     residual_norm = float(np.abs(a @ xs - b).max(initial=0.0))
-    if residual_norm > EPS_LP:
+    if not _rows_met(a, xs, b, residual_norm):
         return LPResult(NUMERICAL_FAILURE, np.nan, xs, residual_norm, RESIDUAL_ABOVE_EPS)
     return LPResult(OPTIMAL, float(lp.objective @ xs), xs, residual_norm,
                     duals=binv.T @ c2[basis])

@@ -103,13 +103,13 @@ def classify_point(u, ustar) -> PointClassification:
 
     Second-order stationarity singles out the global minima, so every
     spurious point ships with an escape direction of negative curvature and
-    every non-stationary point with a verified descent direction. The descent
-    direction is the negated midpoint subgradient when that works; otherwise
-    the negated minimum-infinity-norm subdifferential element, and as a last
-    resort -w, the dual certificate of that same min-norm solve, which
-    minimizes df(u) over the l1 ball and is negative whenever 0 is outside
-    the subdifferential. All three are read from one subdifferential model,
-    whose support function checks them.
+    every non-stationary point with a verified descent direction. Two
+    candidates are tried, in order: the negated midpoint subgradient, then
+    -w/||w||_2, where w is the dual certificate of the min-norm solve. -w
+    minimizes df(u) over the l1 ball: when the min-norm value v exceeds
+    EPS_LP, ||w||_1 = 1 and df(u)(-w/||w||_2) = -v/||w||_2 <= -v, so it
+    descends at every point the LP calls non-stationary. Both are read from
+    one subdifferential model, whose support function checks them.
     """
     u, ustar = _pair(u, ustar)
     verdict = is_stationary_closed_form(u, ustar)
@@ -136,10 +136,7 @@ def classify_point(u, ustar) -> PointClassification:
 
     d = descend_along(model.fixed_vector())  # the midpoint subgradient
     if d is None:
-        _, _, element, w = min_norm_element(model)
-        d = descend_along(element)
-        if d is None:
-            d = descend_along(w)  # df(u)(-w) = -value
+        d = descend_along(min_norm_element(model)[2])  # df(u)(-w) = -value
     if d is None:
         raise ArithmeticError("no certified descent direction at a point "
                               "the closed form labels non-stationary")

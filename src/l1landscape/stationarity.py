@@ -70,10 +70,11 @@ def is_stationary_closed_form(u, ustar) -> StationarityVerdict:
 
 
 def min_norm_element(model: SubdifferentialModel):
-    """(value, free_values, element, w) for the least-infinity-norm S u.
+    """(value, free_values, w) for the least-infinity-norm S u.
 
     The constant fixed_vector() enters through a column pinned to 1, so the
-    epigraph solver sees min ||A x||_inf over the free box; element is A x.
+    epigraph solver sees min ||A x||_inf over the free box; the element
+    itself is model.fixed_vector() + model.pair_matrix() @ free_values.
     w is the solver's dual certificate: when value > 0, ||w||_1 = 1 and
     model.support(-w) = -value, so -w is the steepest descent direction of f
     over the l1 ball.
@@ -81,7 +82,7 @@ def min_norm_element(model: SubdifferentialModel):
     a = np.hstack([model.fixed_vector()[:, None], model.pair_matrix()])
     lower = np.concatenate([[1.0], -np.ones(len(model.free_pairs))])
     value, point, w = feasibility_min_infinity_norm(lower, np.ones(lower.size), a)
-    return value, point[1:], a @ point, w
+    return value, point[1:], w
 
 
 def is_stationary_lp(u, ustar) -> StationarityVerdict:
@@ -92,7 +93,7 @@ def is_stationary_lp(u, ustar) -> StationarityVerdict:
     """
     u, ustar = _pair(u, ustar)
     model = subdifferential_model(u, ustar)
-    value, free_values, _, _ = min_norm_element(model)
+    value, free_values, _ = min_norm_element(model)
     if value > EPS_LP:
         return StationarityVerdict(False, NOT_STATIONARY, None, value)
     witness = model.assemble(np.clip(free_values, -1.0, 1.0))

@@ -6,7 +6,10 @@ so any nonzero tilt pushes its minimizers to infinity. The second has kinks
 on the integers, and a tilt of size below 1 turns countably many of them
 into sharp local minima at once. The same tilting applied to
 f(u) = 0.5 ||u u^T - ustar ustar^T||_1 turns a spurious stationary point
-into a sharp local minimum for an open box of tilt vectors.
+into a sharp local minimum for an open box of tilt vectors; its certificate
+covers every point where df is a coordinate box. Both certificates apply one
+rule: 0 interior to the tilted subdifferential box, with the distance to the
+nearest face as the modulus.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_ZERO, _reject_nan, as_vector, subdifferential_model
+from .core import _require_finite, as_vector, subdifferential_model
 from .dynamics import StepSchedule
 
 EX41 = "ex41"
@@ -90,6 +93,15 @@ def _scalar_fn(fn: str):
     return SCALAR_FNS[fn]
 
 
+def _sharp_modulus(lo, hi):
+    """(certified, modulus): 0 must be interior to the tilted subdifferential
+    box [lo, hi], and the modulus is its distance to the nearest face."""
+    modulus = float(np.minimum(-lo, hi).min())
+    if modulus > 0.0:
+        return True, modulus
+    return False, 0.0
+
+
 def certify_sharp_local_min_1d(fn: str, x0: float, a: float):
     """Is x0 a sharp local minimum of g(x) - a x, and with what modulus?
 
@@ -98,43 +110,31 @@ def certify_sharp_local_min_1d(fn: str, x0: float, a: float):
     min(a - lo, hi - a). Smooth points have a degenerate interval and never
     certify.
     """
-    lo, hi = _scalar_fn(fn)(float(x0))[1]
-    modulus = min(float(a) - lo, hi - float(a))
-    if modulus > 0.0:
-        return True, modulus
-    return False, 0.0
+    x0, a = float(x0), float(a)
+    _require_finite(x0=x0, a=a)
+    lo, hi = _scalar_fn(fn)(x0)[1]
+    return _sharp_modulus(lo - a, hi - a)
 
 
 def certify_sharp_local_min_tilted_f(ustar, u0, a):
-    """Sharp-local-minimum certificate for f(u) - <a, u> at u0 = +-(-1, 1).
+    """Sharp-local-minimum certificate for f(u) - <a, u> at u0.
 
-    The instance is fixed: ustar = (1, 1) and u0 one of the two spurious
-    corners (-1, 1), (1, -1). There the subdifferential of f is a coordinate
-    box (each free residual entry is diagonal, touching one coordinate), c0 +-
-    the row sums of |M| for M = pair_matrix(). The tilted subdifferential is
-    that box shifted by -a; the certificate checks that 0 is interior to it.
+    f - <a, .> has a sharp local minimum at u0 with modulus kappa in the
+    infinity norm when a + kappa B_1 lies in df(u0) (Burke & Ferris, SIAM J.
+    Control Optim. 31, 1993). When each column of M = pair_matrix() has at
+    most one nonzero, df(u0) is the coordinate box c0 +- the row sums of |M|,
+    and the tilted box is shifted by -a. Other points raise ValueError.
     """
-    ustar = as_vector(ustar)
-    u0 = as_vector(u0)
-    a = as_vector(a)
-    corner = np.array([-1.0, 1.0])
-    if ustar.shape != (2,) or not np.allclose(ustar, [1.0, 1.0], atol=EPS_ZERO):
-        raise ValueError("this certificate covers ustar = (1, 1) only")
-    if not (np.allclose(u0, corner, atol=EPS_ZERO)
-            or np.allclose(u0, -corner, atol=EPS_ZERO)):
-        raise ValueError("this certificate covers u0 = +-(-1, 1) only")
-    if a.shape != (2,):
-        raise ValueError("tilt must be a 2-vector")
-
     model = subdifferential_model(u0, ustar)
+    a = as_vector(a)
+    if a.shape != (model.dim,):
+        raise ValueError(f"tilt must have the point's dimension {model.dim}")
+    m = np.abs(model.pair_matrix())
+    if np.any(np.count_nonzero(m, axis=0) > 1):
+        raise ValueError("df(u0) is not a coordinate box: a free pair couples two coordinates")
     c0 = model.fixed_vector()
-    half = np.abs(model.pair_matrix()).sum(axis=1)
-    lo = c0 - half - a
-    hi = c0 + half - a
-    modulus = float(np.minimum(-lo, hi).min())
-    if modulus > 0.0:
-        return True, modulus
-    return False, 0.0
+    half = m.sum(axis=1)
+    return _sharp_modulus(c0 - half - a, c0 + half - a)
 
 
 @dataclass
@@ -158,10 +158,9 @@ def tilt_divergence_probe_ex41(a: float, x0: float, schedule: StepSchedule,
     allowed for contrast runs; then x0 = 0 is a genuine global minimum and
     nothing moves.
     """
-    _reject_nan(a=a, x0=x0, threshold=threshold)
-    for name, value in (("a", a), ("x0", x0), ("threshold", threshold)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
+    _require_finite(a=a, x0=x0, threshold=threshold)
     x = float(x0)
     a = float(a)
     iterations = 0
@@ -177,6 +176,8 @@ def tilt_divergence_probe_ex41(a: float, x0: float, schedule: StepSchedule,
 def write_tilt_samples_csv(fn: str, a: float, xs, fileobj) -> None:
     """Rows x, g, h_a over the sample points, for plotting tilted landscapes."""
     evaluate = _scalar_fn(fn)
+    a = float(a)
+    _require_finite(a=a)
     writer = csv.writer(fileobj)
     writer.writerow(["x", "g", "h_a"])
     for x in np.asarray(xs, dtype=float):

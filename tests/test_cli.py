@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -279,6 +280,32 @@ def test_tilt_f_certificate(capsys):
     assert payload["modulus"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_tilt_f_certificate_away_from_the_corner(capsys):
+    code, payload = run_json(capsys, "tilt", "f-certify", "-g", "2,1", "-u", "-2,1",
+                             "-a", "-1,2")
+    assert code == 0
+    assert (payload["certified"], payload["modulus"]) == (True, 1.0)
+    # at u0 = ustar an off-diagonal free pair couples the two coordinates
+    code, out, err = run_cli(capsys, "tilt", "f-certify", "-u", "1,1", "-g", "1,1",
+                             "-a", "0,0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: df(u0) is not a coordinate box: a free pair couples two coordinates\n"
+
+
+@pytest.mark.parametrize("point,ground_truth", [
+    ("1e13,1", "1,1"),
+    ("3e13,-1e13,2e13", "4e13,2e13,-1e13"),
+])
+def test_certify_far_from_the_origin(capsys, point, ground_truth):
+    """Large points inside core.MAX_ENTRY: the LP's rows are met to EPS_LP
+    relative to the size of their terms, not to an absolute EPS_LP."""
+    code, payload = run_json(capsys, "certify", "-u", point, "-g", ground_truth)
+    assert code == 0
+    assert payload["certifiers_agree"] is True
+    assert payload["classification"]["kind"] == "not_stationary"
+
+
 def test_tilt_samples_csv(capsys):
     code, out, _ = run_cli(capsys, "tilt", "samples", "-a", "0.45",
                            "--xmin", "-1", "--xmax", "1", "--num", "5")
@@ -376,6 +403,7 @@ def test_config_null_is_unset(tmp_path, capsys):
     ("tilt ex41-probe -a 1 --x0 inf --max-iters 5", "x0 must be finite"),
     # strict JSON has no inf, so the report could not echo an infinite threshold
     ("tilt ex41-probe -a 1 --threshold inf --max-iters 5", "threshold must be finite"),
+    ("tilt ex41-probe -a 1 --max-iters -1", "max_iters must be nonnegative"),
 ])
 def test_negative_counts_exit_one(capsys, command, message):
     code, out, err = run_cli(capsys, *command.split())
@@ -409,8 +437,10 @@ GOLDEN = [  # (command line, exit code, sha256 of stdout)
      "0ac9eda83327b230f38a0d9b72b6e405fbffae0b367c27c32cecf24c6631f255"),
     ("certify -u 0,0 -g 1,1", 0,
      "0bd303155e84d45003f289ffeb5b504a00d25f77440c1ba4c3e13876e13132ee"),
+    # -midpoint does not descend here, so the descent direction is -w/||w||_2
+    # from the min-norm solve's duals, the l1-steepest direction e_3
     ("certify " + FALLBACK, 0,
-     "9954ea160d9176c256b0f61ba16c46c8fd3978d6c5178110dd4027666f28aa81"),
+     "23be5319a9265dba85b4e7c6e3c657504c751cdfe92952f2d66931efc632eb55"),
     ("certify -u 0,0 -g 0,0", 0,
      "aec0bae1d6ec75ca675369283c44c2ffb602d387966dc6eef3563e4e28c0f098"),
     ("certify -u 0.3,-0.2 -g 0,0", 0,
@@ -508,3 +538,49 @@ def test_every_subcommand_has_a_golden_line():
     missing = [leaf for leaf in leaves
                if not any(line.startswith(leaf + " ") for line in pinned)]
     assert missing == []
+
+
+# Scalar options a subcommand parses from a string itself, not through argparse.
+STRING_FLOATS = {"tilt ex41-probe": {"-a"}, "tilt ex42-certify": {"-a", "-x"},
+                 "tilt samples": {"-a"}}
+# The name an error gives an option where it is not the option's dest.
+NAMED_AS = {"x": "x0", **dict.fromkeys(("xmin", "xmax", "ymin", "ymax"), "grid bounds")}
+
+
+def _leaf_parser(parser, leaf):
+    for name in leaf.split():
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        parser = sub.choices[name]
+    return parser
+
+
+def _non_finite_cases():
+    """(golden line + one float option set to inf, -inf or nan, the option's dest)."""
+    leaves = sorted(_leaf_commands(build_parser()), key=len, reverse=True)
+    for line, _, _ in GOLDEN:
+        leaf = next(leaf for leaf in leaves if line.startswith(leaf + " "))
+        for action in _leaf_parser(build_parser(), leaf)._actions:
+            flag = action.option_strings[-1] if action.option_strings else None
+            if action.type is float or flag in STRING_FLOATS.get(leaf, ()):
+                for value in ("inf", "-inf", "nan"):
+                    yield pytest.param(f"{line} {flag}={value}", action.dest,
+                                       id=f"{leaf} {flag}={value}")
+
+
+@pytest.mark.parametrize("line,dest", _non_finite_cases())
+def test_non_finite_float_options(capsys, line, dest):
+    """A non-finite float option either runs to a finite result or exits 1
+    with one error line that names it; it never reaches a consistency or LP
+    exit, and no numpy RuntimeWarning is emitted on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *line.split())
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 1)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        names = {dest, NAMED_AS.get(dest, dest)}
+        assert any(re.search(rf"\b{name}\b", err) for name in names)
+    else:
+        assert re.search(r"(?i)\b(nan|inf|infinity)\b", out) is None

@@ -8,6 +8,7 @@ from l1landscape import lpcore, secondorder, stationarity
 from l1landscape.core import (
     EPS_ZERO,
     SubdifferentialModel,
+    objective,
     residual_pattern,
     subdifferential_model,
     subgradient_select,
@@ -39,7 +40,7 @@ def random_spurious(rng, n):
 
 def solve_face_member(model):
     """A feasible matrix in the face, from the min-norm witness program."""
-    value, free_values, _, _ = min_norm_element(model)
+    value, free_values, _ = min_norm_element(model)
     assert value <= 1e-9
     return model.assemble(np.clip(free_values, -1.0, 1.0))
 
@@ -192,36 +193,48 @@ def test_classify_point_examples():
     assert directional_derivative([0.5, 0.2], ustar, d) < 0.0
 
 
-# A box-face point where -midpoint does not descend and the min-norm element
-# does (the FALLBACK input of the CLI tests), and one where neither does, so
-# the steepest-descent direction read from the min-norm LP's duals decides.
+# Two points where -midpoint does not descend, so the steepest-descent
+# direction read from the min-norm LP's duals decides: a box-face point (the
+# FALLBACK input of the CLI tests), where the negated min-norm element would
+# also descend, and one where it would not.
 MIN_NORM_POINT = (np.array([-0.7278215444386658, 0.344234196431766, -0.30043137049255364]),
                   np.array([-0.7278215444386658, -1.2948348672230032, 0.30043137049255364]))
 STEEPEST_LP_POINT = (np.array([0.31, 0.52]), np.array([-0.44, 0.52]))
 
 
+def min_norm_element_vector(model):
+    """The least-infinity-norm element of df(u) itself, rebuilt from the free
+    values min_norm_element returns."""
+    _, free_values, _ = min_norm_element(model)
+    return model.fixed_vector() + model.pair_matrix() @ free_values
+
+
 def test_classify_point_min_norm_fallback():
-    """At this box-face point -midpoint does not descend; the min-norm element
-    does, so it decides the direction before the min-norm LP's duals."""
+    """At this box-face point -midpoint does not descend, so the fallback is
+    -w/||w||_2 from the min-norm solve: the l1-steepest direction e_3. The
+    negated min-norm element would descend too, but it is no candidate."""
     u, ustar = MIN_NORM_POINT
     g = subgradient_select(u, ustar)
     assert directional_derivative(u, ustar, -g / np.linalg.norm(g)) >= -EPS_DIR
+    model = subdifferential_model(u, ustar)
+    element = min_norm_element_vector(model)
+    assert model.support(-element / np.linalg.norm(element)) < -EPS_DIR
 
-    _, _, element, _ = min_norm_element(subdifferential_model(u, ustar))
+    _, _, w = min_norm_element(model)
     res = classify_point(u, ustar)
     assert res.kind == NOT_STATIONARY
-    np.testing.assert_array_equal(res.descent_direction,
-                                  -element / float(np.linalg.norm(element)))
+    assert res.descent_direction.tobytes() == (-w / np.linalg.norm(w)).tobytes()
+    assert res.descent_direction.tolist() == [0.0, 0.0, 1.0]
     assert directional_derivative(u, ustar, res.descent_direction) < -EPS_DIR
 
 
 @pytest.mark.parametrize("point", [MIN_NORM_POINT, STEEPEST_LP_POINT])
 def test_classify_point_builds_one_model(monkeypatch, point):
-    """Every candidate direction, the min-norm element and the steepest
-    descent direction are read from a single subdifferential model and one
-    LP solve. Both points reach the min-norm element through one
+    """Both candidate directions, the midpoint subgradient and the steepest
+    descent direction, are read from a single subdifferential model and one
+    LP solve. Both points reach the min-norm solve through one
     feasibility_min_infinity_norm call, the call perfbench's tracer counts as
-    a fallback; at the second the direction comes from that solve's duals."""
+    a fallback, and take their direction from that solve's duals."""
     models = []
     init = SubdifferentialModel.__init__
 
@@ -257,9 +270,9 @@ def test_classify_point_builds_one_model(monkeypatch, point):
 
 def dual_route_point():
     """Draw 92 of a seeded box-face stream: n = 40, 39 coordinates at
-    +-|ustar_i|, 420 free pairs. Neither the midpoint nor the min-norm element
-    descends there, and a separately formulated descent LP met a singular
-    basis in phase 2."""
+    +-|ustar_i|, 420 free pairs. Neither the midpoint nor the negated min-norm
+    element descends there, and a separately formulated descent LP met a
+    singular basis in phase 2."""
     rng = np.random.default_rng(1)
     for i in range(93):
         n = (10, 20, 40)[i % 3]
@@ -274,8 +287,8 @@ def test_classify_point_descends_along_the_min_norm_duals():
     u, ustar = dual_route_point()
     model = subdifferential_model(u, ustar)
     assert len(model.free_pairs) == 420
-    value, _, element, w = min_norm_element(model)
-    for g in (model.fixed_vector(), element):
+    value, _, w = min_norm_element(model)
+    for g in (model.fixed_vector(), min_norm_element_vector(model)):
         assert model.support(-g / np.linalg.norm(g)) >= -EPS_DIR
 
     res = classify_point(u, ustar)
@@ -289,8 +302,9 @@ def test_classify_point_descends_along_the_min_norm_duals():
 def test_min_norm_duals_certify_the_grid_n2_dual_route_points():
     """On the benchmark's grid-n2 points (31 x 31 on [-2.5, 2.5]^2 for two
     ground truths), classify_point descends along -w at exactly 14: there
-    neither the midpoint subgradient nor the min-norm element descends. At
-    each, w proves the min-norm value: ||w||_1 = 1 and df(u)(-w) = -value."""
+    the midpoint subgradient does not descend, and neither would the negated
+    min-norm element. At each, w proves the min-norm value: ||w||_1 = 1 and
+    df(u)(-w) = -value."""
     def descends(model, g):
         norm = float(np.linalg.norm(g))
         return norm > EPS_ZERO and model.support(-g / norm) < -EPS_DIR
@@ -301,15 +315,59 @@ def test_min_norm_duals_certify_the_grid_n2_dual_route_points():
         if is_stationary_closed_form(u, ustar).is_stationary:
             continue
         model = subdifferential_model(u, ustar)
-        value, _, element, w = min_norm_element(model)
-        if descends(model, model.fixed_vector()) or descends(model, element):
+        if descends(model, model.fixed_vector()):
             continue
+        value, _, w = min_norm_element(model)
+        assert not descends(model, min_norm_element_vector(model))
         checked += 1
         assert abs(np.abs(w).sum() - 1.0) <= 1e-12
         assert model.support(-w) == pytest.approx(-value, rel=1e-9)
         descent = classify_point(u, ustar).descent_direction
         assert descent.tobytes() == (-w / np.linalg.norm(w)).tobytes()
     assert checked == 14
+
+
+def tie_heavy_points(rng, count):
+    """(u, ustar) at scales 10^[-2, 2], n = 2-10, with zeros of ustar, about
+    half the coordinates on the box face |u_i| = |ustar_i|, and in half the
+    draws one forced off-diagonal tie u_i u_j = ustar_i ustar_j."""
+    for _ in range(count):
+        n = int(rng.integers(2, 11))
+        scale = 10.0 ** rng.uniform(-2.0, 2.0)
+        ustar = rng.standard_normal(n)
+        ustar[rng.random(n) < 0.2] = 0.0
+        u = rng.standard_normal(n)
+        face = rng.random(n) < 0.5
+        u[face] = rng.choice([-1.0, 1.0], int(face.sum())) * ustar[face]
+        if n > 2 and rng.random() < 0.5:
+            i, j = rng.choice(n, 2, replace=False)
+            if u[i] != 0.0:
+                u[j] = ustar[i] * ustar[j] / u[i]
+        yield scale * u, scale * ustar
+
+
+def test_every_descent_direction_is_certified_on_a_tie_heavy_stream():
+    """Over 2,000 seeded tie-heavy points and the FALLBACK input, each
+    not_stationary answer is a unit d with df(u)(d) < -EPS_DIR along which f
+    decreases at some step of the benchmark oracle's ladder; dozens of the
+    points need the fallback, because -midpoint does not descend there."""
+    ladder = perfbench_module("oracle").STEP_LADDER
+    points = [MIN_NORM_POINT, *tie_heavy_points(np.random.default_rng(24), 2000)]
+    fallbacks = 0
+    for u, ustar in points:
+        res = classify_point(u, ustar)
+        if res.kind != NOT_STATIONARY:
+            continue
+        d = res.descent_direction
+        model = subdifferential_model(u, ustar)
+        assert abs(np.linalg.norm(d) - 1.0) <= 1e-12
+        assert model.support(d) < -EPS_DIR
+        f0 = objective(u, ustar)
+        assert any(objective(u + t * d, ustar) < f0 for t in ladder)
+        g = model.fixed_vector()
+        norm = float(np.linalg.norm(g))
+        fallbacks += not (norm > EPS_ZERO and model.support(-g / norm) < -EPS_DIR)
+    assert fallbacks >= 20
 
 
 @pytest.mark.parametrize("point, kind", [
@@ -347,8 +405,6 @@ def test_classify_point_zero_ground_truth():
 
 
 def test_classifier_soundness_on_random_points():
-    from l1landscape.core import objective
-
     rng = np.random.default_rng(8)
     for _ in range(300):
         n = int(rng.integers(2, 6))

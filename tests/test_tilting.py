@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from l1landscape.core import objective
+from l1landscape.core import objective, subdifferential_model
 from l1landscape.dynamics import INV_SQRT_K, StepSchedule
 from l1landscape.tilting import (
     EX41,
@@ -180,12 +180,70 @@ def test_certified_tilted_f_minima_are_genuine():
 
 
 def test_certify_tilted_f_rejects_other_instances():
-    with pytest.raises(ValueError):
-        certify_sharp_local_min_tilted_f([1.0, 2.0], [-1.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
+    # df is a box here too, flat in the second coordinate, so no tilt certifies
+    assert certify_sharp_local_min_tilted_f([1.0, 2.0], [-1.0, 1.0], [0.0, 0.0]) == (False, 0.0)
+    # two face coordinates of one sign tie off the diagonal: not a box
+    with pytest.raises(ValueError, match="not a coordinate box"):
+        certify_sharp_local_min_tilted_f([1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not a coordinate box"):
         certify_sharp_local_min_tilted_f([1.0, 1.0], [1.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tilt must have the point's dimension 2"):
         certify_sharp_local_min_tilted_f([1.0, 1.0], [-1.0, 1.0], [0.0, 0.0, 0.0])
+
+
+def test_certify_tilted_f_away_from_the_corner():
+    assert certify_sharp_local_min_tilted_f([2.0, 1.0], [-2.0, 1.0], [-1.0, 2.0]) == (True, 1.0)
+    # a ground truth near (1, 1) is not the corner: its first diagonal
+    # residual is -1e-5, outside the zero band, so df has no width there
+    assert certify_sharp_local_min_tilted_f([1.000005, 1.0], [-1.0, 1.0],
+                                            [-1.0, 1.0]) == (False, 0.0)
+
+
+def box_points(rng, count):
+    """(u0, ustar) with n = 2-5 whose df(u0) is a coordinate box: each
+    coordinate is on the box face (at most one of each sign, so no two face
+    coordinates tie off the diagonal), a zero of ustar and u0, or generic."""
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        ustar = rng.standard_normal(n)
+        u0 = rng.standard_normal(n)
+        signs = iter(rng.permutation([-1.0, 1.0]))
+        for i, kind in enumerate(rng.integers(0, 3, n)):
+            s = next(signs, None) if kind == 0 else None
+            if s is not None:
+                u0[i] = s * ustar[i]
+            elif kind < 2:
+                ustar[i] = u0[i] = 0.0
+        yield u0, ustar
+
+
+def test_box_certificate_growth_at_random_box_points():
+    """At 3,000 seeded box points, a tilt a drawn inside df(u0) that
+    certifies with modulus kappa gives h = f - <a, .> the growth
+    h(u0 + delta e) >= h(u0) + (kappa / 2) delta ||e||_inf for delta in
+    {1e-6, 1e-5, 1e-4} along 20 random directions e. At u0 = ustar with two
+    or more nonzeros an off-diagonal free pair couples two coordinates, and
+    the certificate raises."""
+    rng = np.random.default_rng(25)
+    certified_count = 0
+    for u0, ustar in box_points(rng, 3000):
+        model = subdifferential_model(u0, ustar)
+        half = np.abs(model.pair_matrix()).sum(axis=1)
+        a = model.fixed_vector() + half * rng.uniform(-1.0, 1.0, u0.size)
+        certified, kappa = certify_sharp_local_min_tilted_f(ustar, u0, a)
+        if np.count_nonzero(ustar) >= 2:
+            with pytest.raises(ValueError, match="not a coordinate box"):
+                certify_sharp_local_min_tilted_f(ustar, ustar, a)
+        if not certified:
+            continue
+        certified_count += 1
+        h0 = objective(u0, ustar) - a @ u0
+        for _ in range(20):
+            e = rng.standard_normal(u0.size)
+            for delta in (1e-6, 1e-5, 1e-4):
+                u = u0 + delta * e
+                assert objective(u, ustar) - a @ u >= h0 + kappa / 2.0 * delta * np.abs(e).max()
+    assert certified_count >= 500
 
 
 def test_tilt_probe_escapes_for_positive_tilt():
@@ -230,6 +288,25 @@ def test_tilt_probe_refuses_infinite_start_and_tilt():
             tilt_divergence_probe_ex41(*args, schedule, 10)
     with pytest.raises(ValueError, match="threshold must be finite"):
         tilt_divergence_probe_ex41(0.01, 3.0, schedule, 10, threshold=math.inf)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_scalar_tilt_inputs_must_be_finite(value):
+    # math.floor of an infinite x raised OverflowError, an ArithmeticError
+    message = "must not be NaN" if math.isnan(value) else "must be finite"
+    with pytest.raises(ValueError, match=f"x0 {message}"):
+        certify_sharp_local_min_1d(EX42, value, 0.5)
+    with pytest.raises(ValueError, match=f"a {message}"):
+        certify_sharp_local_min_1d(EX42, 3.0, value)
+    with pytest.raises(ValueError, match=f"a {message}"):
+        write_tilt_samples_csv(EX42, value, [0.5], io.StringIO())
+
+
+def test_tilt_probe_refuses_a_negative_iteration_count():
+    schedule = StepSchedule(INV_SQRT_K, 200.0)
+    with pytest.raises(ValueError, match="max_iters must be nonnegative"):
+        tilt_divergence_probe_ex41(0.01, 3.0, schedule, -1)
+    assert tilt_divergence_probe_ex41(0.01, 3.0, schedule, 0).iterations == 0
 
 
 def test_tilt_samples_csv():
