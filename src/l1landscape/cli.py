@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .core import _require_finite
+from .core import _require_bounded
 from .dynamics import (
     DEFAULT_SCHEDULE,
     GridSpec,
@@ -368,7 +368,7 @@ def cmd_tilt_samples(opts: dict) -> int:
     a = _require(opts, "a", float)
     opts = {"fn": EX42, "xmin": -5.0, "xmax": 5.0, "num": 1001, **opts}
     xmin, xmax = _require(opts, "xmin", float), _require(opts, "xmax", float)
-    _require_finite(xmin=xmin, xmax=xmax)
+    _require_bounded(xmin=xmin, xmax=xmax)
     xs = np.linspace(xmin, xmax, _require(opts, "num", int))
     buf = io.StringIO()
     write_tilt_samples_csv(_require(opts, "fn", str), a, xs, buf)

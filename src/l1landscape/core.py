@@ -41,11 +41,10 @@ STACK_ENTRIES = 1 << 20
 MAX_ENTRY = 1e100
 
 
-def _check_entries(v: np.ndarray) -> None:
+def _check_entries(v: np.ndarray, name: str = "vector entries") -> None:
     # The comparison is False for NaN, so it refuses every non-finite entry.
-    if not np.abs(v).max() <= MAX_ENTRY:
-        raise ValueError(f"vector entries must be finite and at most {MAX_ENTRY:g} "
-                         "in magnitude")
+    if v.size and not np.abs(v).max() <= MAX_ENTRY:
+        raise ValueError(f"{name} must be finite and at most {MAX_ENTRY:g} in magnitude")
 
 
 def as_vector(u) -> np.ndarray:
@@ -93,6 +92,17 @@ def _require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+
+
+def _require_bounded(**values) -> None:
+    """Refuse by name a scalar or array value with a NaN entry, then one
+    past MAX_ENTRY in magnitude: the product of two values within the bound
+    stays finite, while finite values beyond it can overflow."""
+    for name, value in values.items():
+        v = np.asarray(value, dtype=float)
+        if np.isnan(v).any():
+            raise ValueError(f"{name} must not be NaN")
+        _check_entries(v, name)
 
 
 def _row_blocks(u: np.ndarray) -> list[np.ndarray]:

@@ -91,18 +91,18 @@ def directional_derivative(u, ustar, w) -> float:
 def critical_cone(u, ustar) -> CriticalConeDescriptor:
     """Closed-form critical cone at a stationary point of f.
 
-    At a nonzero ground truth the cone is {0}, the all-ZERO descriptor. At
-    u = 0 it is all of R^n. At a spurious point u != 0 coordinate j is ZERO
-    off the support of ustar, HALF_LINE(Sign(u_j)) where |u_j| meets the box
-    bound |ustar_j|, and FREE where it sits strictly inside.
+    At u = 0 it is all of R^n, also where ustar = 0 makes u = 0 the ground
+    truth: f = 0.5 ||u||_1^2 there. At any other ground truth the cone is
+    {0}, the all-ZERO descriptor. At a spurious point u != 0 coordinate j is
+    ZERO off the support of ustar, HALF_LINE(Sign(u_j)) where |u_j| meets
+    the box bound |ustar_j|, and FREE where it sits strictly inside.
     """
     u, ustar = _pair(u, ustar)
     verdict = _require_stationary(u, ustar)
-    if verdict.kind in (GROUND_TRUTH_PLUS, GROUND_TRUTH_MINUS):
-        return CriticalConeDescriptor((ZERO,) * u.size, (0,) * u.size)
-
     if np.abs(u).max() <= EPS_ZERO:
         return CriticalConeDescriptor((FREE,) * u.size, (0,) * u.size)
+    if verdict.kind in (GROUND_TRUTH_PLUS, GROUND_TRUTH_MINUS):
+        return CriticalConeDescriptor((ZERO,) * u.size, (0,) * u.size)
 
     zero = np.abs(ustar) <= EPS_ZERO
     half = ~zero & (np.abs(u) >= np.abs(ustar) - EPS_ZERO)
@@ -134,9 +134,9 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
     """Sample the local growth inequality f(u) >= f(ustar) + beta ||u - ustar||_1.
 
     Points are uniform in the l-infinity ball of the given radius around
-    ustar, one rng stream per sample so the report does not depend on
-    evaluation order. beta is half the sharpness coefficient, a conservative
-    margin below the first-order rate.
+    ustar, drawn in one call from default_rng(seed), so sample t is row t of
+    its (samples, n) draw. beta is half the sharpness coefficient, a
+    conservative margin below the first-order rate.
     """
     ustar = as_vector(ustar)
     if not 0.0 < 2.0 * radius < math.inf:
@@ -149,7 +149,6 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
     if samples == 0:
         return GrowthReport(0, 0, 0.0, radius, beta)
     f_star = objective(ustar, ustar)
-    u = ustar + np.array([np.random.default_rng([seed, t]).uniform(-radius, radius, ustar.size)
-                          for t in range(samples)])
+    u = ustar + np.random.default_rng(seed).uniform(-radius, radius, (samples, ustar.size))
     margin = objective(u, ustar) - f_star - beta * np.abs(u - ustar).sum(axis=1)
     return GrowthReport(samples, int((margin < 0.0).sum()), float(margin.min()), radius, beta)

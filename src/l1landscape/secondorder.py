@@ -117,8 +117,10 @@ def classify_point(u, ustar) -> PointClassification:
         return PointClassification(GLOBAL_MIN)
     if verdict.kind == SPURIOUS:
         if np.abs(ustar).max() <= EPS_ZERO:
-            # ustar = 0 makes u = 0 the unique stationary point and the
-            # global minimum; there is nothing to escape from.
+            # ustar inside the band, with u farther than EPS_ZERO from
+            # +-ustar but inside the box, e.g. ustar = (1e-10, 1e-10) and
+            # u = (1e-9, -1e-9): every residual entry is a zero of the band,
+            # so f vanishes to within it and there is nothing to escape from.
             return PointClassification(GLOBAL_MIN)
         w, value = _escape_curvature(u, ustar)
         return PointClassification(SPURIOUS_STATIONARY, escape_direction=w, curvature=value)

@@ -39,9 +39,9 @@ class StationarityVerdict:
 
 
 def _stationary_kind(u, ustar):
-    """Kind label for a stationary point; ustar = 0 makes u = 0 SPURIOUS."""
-    if np.abs(ustar).max() <= EPS_ZERO:
-        return SPURIOUS
+    """Kind label for a stationary point: GROUND_TRUTH_PLUS within EPS_ZERO
+    of ustar, then GROUND_TRUTH_MINUS within EPS_ZERO of -ustar, else
+    SPURIOUS. At ustar = 0 the point u = 0 is GROUND_TRUTH_PLUS."""
     if np.abs(u - ustar).max() <= EPS_ZERO:
         return GROUND_TRUTH_PLUS
     if np.abs(u + ustar).max() <= EPS_ZERO:
@@ -56,7 +56,8 @@ def is_stationary_closed_form(u, ustar) -> StationarityVerdict:
     if kind != SPURIOUS:
         return StationarityVerdict(True, kind, np.zeros((u.size, u.size)), 0.0)
 
-    # With ustar = 0 s vanishes and the test reduces to ||u||_inf <= EPS_ZERO.
+    # With ustar inside the band s vanishes, and the box and forced tests
+    # hold u within EPS_ZERO of the box [-|ustar|, |ustar|].
     s = np.sign(ustar) * (np.abs(ustar) > EPS_ZERO)
     box_ok = np.all(np.abs(u) <= np.abs(ustar) + EPS_ZERO)
     forced_ok = np.all(np.abs(u[s == 0]) <= EPS_ZERO)
@@ -203,20 +204,20 @@ def gaussian_separation(n: int, trials: int, seed: int = 0):
 
     This is the exact distance from a Gaussian ground truth to the hyperplane
     {u : Sign(ustar)^T u = 0} containing the spurious polytope; its mean is
-    sqrt(2 n / pi), so the separation grows with dimension. Trial t draws
-    from the stream seeded with [seed, t], so distinct seeds give independent
-    sets of streams; trials are merged in trial order, which keeps the
-    estimate reproducible under parallel evaluation.
+    sqrt(2 n / pi), so the separation grows with dimension. All trials draw
+    from one stream, default_rng(seed), coordinate by coordinate: trial t is
+    column t of default_rng(seed).standard_normal((n, trials)), and memory
+    stays O(trials).
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be at least 1")
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    root = math.sqrt(n)
-    values = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        values[t] = np.abs(rng.standard_normal(n)).sum() / root
+    rng = np.random.default_rng(seed)
+    total = np.zeros(trials)
+    for _ in range(n):
+        total += np.abs(rng.standard_normal(trials))
+    values = total / math.sqrt(n)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require_finite, as_vector, subdifferential_model
+from .core import _require_bounded, _require_finite, as_vector, subdifferential_model
 from .dynamics import StepSchedule
 
 EX41 = "ex41"
@@ -174,12 +174,17 @@ def tilt_divergence_probe_ex41(a: float, x0: float, schedule: StepSchedule,
 
 
 def write_tilt_samples_csv(fn: str, a: float, xs, fileobj) -> None:
-    """Rows x, g, h_a over the sample points, for plotting tilted landscapes."""
+    """Rows x, g, h_a over the sample points, for plotting tilted landscapes.
+
+    The tilt a and the points xs are held to core.MAX_ENTRY, which keeps
+    a * x and every cell finite.
+    """
     evaluate = _scalar_fn(fn)
     a = float(a)
-    _require_finite(a=a)
+    xs = np.asarray(xs, dtype=float)
+    _require_bounded(a=a, xs=xs)
     writer = csv.writer(fileobj)
     writer.writerow(["x", "g", "h_a"])
-    for x in np.asarray(xs, dtype=float):
+    for x in xs:
         g = evaluate(float(x))[0]
         writer.writerow([f"{x:.17g}", f"{g:.17g}", f"{g - a * x:.17g}"])

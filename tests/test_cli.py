@@ -413,6 +413,31 @@ def test_negative_counts_exit_one(capsys, command, message):
     assert message in err
 
 
+@pytest.mark.parametrize("line,name", [
+    ("tilt samples -a 1e308 --xmin -10 --xmax 10 --num 3", "a"),
+    ("tilt samples -a 0.45 --xmin -1e308 --xmax 1e308 --num 3", "xmin"),
+    ("tilt samples -a 0.45 --xmin -1 --xmax 1e101 --num 3", "xmax"),
+])
+def test_tilt_samples_refuses_values_past_the_entry_bound(capsys, line, name):
+    # finite values whose product a * x, or linspace span, overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *line.split())
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} must be finite and at most 1e+100 in magnitude\n"
+
+
+def test_tilt_samples_at_the_entry_bound(capsys):
+    code, out, _ = run_cli(capsys, *"tilt samples -a 1e100 --xmin -1e100 --xmax 1e100 "
+                                     "--num 5".split())
+    assert code == 0
+    cells = np.array([row.split(",") for row in out.splitlines()[1:]], dtype=float)
+    assert cells.shape == (5, 3)
+    assert np.isfinite(cells).all()
+
+
 def test_unknown_flag_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--bogus"])
@@ -442,7 +467,7 @@ GOLDEN = [  # (command line, exit code, sha256 of stdout)
     ("certify " + FALLBACK, 0,
      "23be5319a9265dba85b4e7c6e3c657504c751cdfe92952f2d66931efc632eb55"),
     ("certify -u 0,0 -g 0,0", 0,
-     "aec0bae1d6ec75ca675369283c44c2ffb602d387966dc6eef3563e4e28c0f098"),
+     "481504c76f81e5f4bc97ca72687a45cc9935c49c5b7ffd533c8a2ab1c82dbf59"),
     ("certify -u 0.3,-0.2 -g 0,0", 0,
      "d2f4e2c9e5be95edfd19ad5fc3a3a0e67afc4e2cc6ccc61cde9a70f7c1ffd5d7"),
     ("certify -u 2e-6,0 -g 1e-6,1e-6", 2,
@@ -462,9 +487,9 @@ GOLDEN = [  # (command line, exit code, sha256 of stdout)
     ("conjecture -g 1,1 --trials 20 --max-iters 500 -s 0", 0,
      "041ac2b4892319deda9b0d53d45b989c3c1750ee822b4a34852ed5805297de98"),
     ("growth-check -g 1,1 --samples 200 -s 0", 0,
-     "d91cc483e7cef626ceb84c77735b3fe1c3ad1d19ebd989f13d08708e6711b225"),
+     "5df282fe9df6737a83d26a9210c8b84d26f8c3373ea1e3bba1862f20acc163ea"),
     ("gaussian-sep -n 16 -t 2000 -s 7", 0,
-     "3497a992cae5e140c9173558a92ed8fce4c1895608c110c35d51e35635b619d0"),
+     "e0b5c86dc051f51e9cca05f8b2929e6c34cc783e76ed729a4cc7a225eed550bb"),
     ("tilt ex41-probe -a 0.01", 0,
      "08b3d93993ef0d3c9bad3abcfb77c859a4d73d17627fb1df7cb87df2177a97a5"),
     ("tilt ex42-certify -x 3 -a 0.45", 0,

@@ -216,15 +216,16 @@ def reference_critical_cone(u, ustar):
 
 
 def reference_growth_check(ustar, radius, samples, seed=0):
-    """growth_check with its former loop over samples, as an oracle."""
+    """growth_check with a loop over samples, as an oracle: sample t is row t
+    of one (samples, n) draw from default_rng(seed)."""
     ustar = np.asarray(ustar, dtype=float)
     beta = 0.5 * sharpness_coefficient(ustar)
     f_star = objective(ustar, ustar)
     violations = 0
     min_margin = np.inf
+    draws = np.random.default_rng(seed).uniform(-radius, radius, (samples, ustar.size))
     for t in range(samples):
-        rng = np.random.default_rng([seed, t])
-        u = ustar + rng.uniform(-radius, radius, ustar.size)
+        u = ustar + draws[t]
         margin = objective(u, ustar) - f_star - beta * float(np.abs(u - ustar).sum())
         if margin < 0.0:
             violations += 1

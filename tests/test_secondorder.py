@@ -13,7 +13,13 @@ from l1landscape.core import (
     subdifferential_model,
     subgradient_select,
 )
-from l1landscape.firstorder import EPS_DIR, NotStationaryError, critical_cone, directional_derivative
+from l1landscape.firstorder import (
+    EPS_DIR,
+    FREE,
+    NotStationaryError,
+    critical_cone,
+    directional_derivative,
+)
 from l1landscape.secondorder import (
     GLOBAL_MIN,
     NOT_STATIONARY,
@@ -23,6 +29,8 @@ from l1landscape.secondorder import (
     second_subderivative,
 )
 from l1landscape.stationarity import (
+    GROUND_TRUTH_PLUS,
+    SPURIOUS,
     is_stationary_closed_form,
     is_stationary_lp,
     min_norm_element,
@@ -402,6 +410,26 @@ def test_classify_point_runs_closed_form_once(monkeypatch, point, kind):
 def test_classify_point_zero_ground_truth():
     assert classify_point([0.0, 0.0], [0.0, 0.0]).kind == GLOBAL_MIN
     assert classify_point([0.3, 0.0], [0.0, 0.0]).kind == NOT_STATIONARY
+
+
+@pytest.mark.parametrize("ustar", [(0.0, 0.0), (0.0, 0.0, 0.0), (1e-10, 0.0)])
+def test_ground_truth_inside_the_zero_band(ustar):
+    ustar = np.array(ustar)
+    for u in (np.zeros_like(ustar), ustar + 0.5 * EPS_ZERO, ustar - 0.9 * EPS_ZERO):
+        kinds = {cert(u, ustar).kind for cert in (is_stationary_closed_form, is_stationary_lp)}
+        assert kinds == {GROUND_TRUTH_PLUS}
+        assert classify_point(u, ustar).kind == GLOBAL_MIN
+        assert set(critical_cone(u, ustar).kinds) == {FREE}
+        with pytest.raises(ValueError):
+            escape_curvature(u, ustar)
+
+
+def test_classify_point_inside_the_band_off_the_ground_truths():
+    # the box test of the closed form admits u, which lies farther than
+    # EPS_ZERO from +-ustar, so it is spurious there; f vanishes to the band
+    ustar, u = [1e-10, 1e-10], [1e-9, -1e-9]
+    assert is_stationary_closed_form(u, ustar).kind == SPURIOUS
+    assert classify_point(u, ustar).kind == GLOBAL_MIN
 
 
 def test_classifier_soundness_on_random_points():

@@ -8,7 +8,9 @@ from the package but subdifferential_model while no library module imports
 them, and no function takes a tolerance as a parameter: the tolerances are
 the module constants EPS_ZERO, EPS_LP and EPS_DIR. Nor does any function
 take a selection or init hook: the dynamics step the midpoint subgradient
-from standard Gaussian starts.
+from standard Gaussian starts. A sampler draws from one default_rng(seed)
+per call: the only Generator started inside a loop is conjecture_probe's
+per-trial start default_rng([seed, t]), which its report lists.
 """
 
 import ast
@@ -103,6 +105,37 @@ def test_no_function_takes_a_selection_or_init_hook():
     assert package_parameters(HOOK_PARAMETERS) == {}
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def looped_rng_starts(tree):
+    """The enclosing function, or <module>, of every default_rng call that
+    sits inside a loop or comprehension."""
+    found = []
+
+    def visit(node, scope, looped):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, looped)
+                continue
+            if looped and isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "default_rng":
+                    found.append(scope)
+            visit(child, scope, looped or isinstance(child, LOOPS))
+
+    visit(tree, "<module>", False)
+    return found
+
+
+def test_only_conjecture_probe_starts_a_generator_per_trial():
+    found = {name: looped_rng_starts(tree) for name, tree in parse_package().items()}
+    assert {name: calls for name, calls in found.items() if calls} == {
+        "dynamics.py": ["conjecture_probe"]}
+
+
 def package_imports(tree):
     """(module, name) for every name the tree imports from l1landscape."""
     return {(node.module, alias.name) for node in ast.walk(tree)
@@ -154,3 +187,13 @@ def test_the_checks_see_an_unused_import_and_an_orphan():
                       "def probe(ustar, init=None, *, initial=0):\n"
                       "    pass\n")
     assert named_parameters(hooks, HOOK_PARAMETERS) == ["run:selection", "probe:init"]
+    streams = ast.parse("rng = np.random.default_rng(0)\n"
+                        "def sample(seed, trials):\n"
+                        "    once = default_rng(seed)\n"
+                        "    rows = [np.random.default_rng([seed, t]) for t in range(trials)]\n"
+                        "    for t in range(trials):\n"
+                        "        def draw():\n"
+                        "            return np.random.default_rng(t)\n"
+                        "    while trials:\n"
+                        "        trials -= default_rng(trials).integers(2)\n")
+    assert looped_rng_starts(streams) == ["sample", "draw", "sample"]

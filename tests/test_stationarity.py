@@ -229,8 +229,9 @@ def test_stacked_projection_validates_its_input():
 
 
 def test_zero_ground_truth_corner():
+    # u = ustar = 0 is the ground truth, not a point of the spurious set
     for cert in BOTH:
-        assert cert([0.0, 0.0], [0.0, 0.0]).kind == SPURIOUS
+        assert cert([0.0, 0.0], [0.0, 0.0]).kind == GROUND_TRUTH_PLUS
         assert cert([0.1, 0.0], [0.0, 0.0]).kind == NOT_STATIONARY
 
 
@@ -305,6 +306,17 @@ def test_gaussian_separation_is_deterministic():
 def test_gaussian_separation_neighbouring_seeds_differ():
     # seeding trial t with seed XOR t made seeds 0 and 1 replay one set of streams
     assert gaussian_separation(16, 4096, seed=0) != gaussian_separation(16, 4096, seed=1)
+
+
+@pytest.mark.parametrize("n,trials,seed", [(1, 1, 0), (4, 1, 3), (16, 2000, 7),
+                                           (3, 257, 1 << 20), (64, 50, 11)])
+def test_gaussian_separation_draws_trials_as_columns_of_one_stream(n, trials, seed):
+    values = np.abs(np.random.default_rng(seed).standard_normal((n, trials))).sum(axis=0)
+    values /= math.sqrt(n)
+    stderr = values.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+    mean, got_stderr = gaussian_separation(n, trials, seed)
+    assert mean == pytest.approx(values.mean(), rel=1e-12, abs=0.0)
+    assert got_stderr == pytest.approx(stderr, rel=1e-12, abs=0.0)
 
 
 def test_gaussian_separation_single_trial_stderr():
