@@ -24,7 +24,7 @@ from .firstorder import (
     growth_check,
     sharpness_coefficient,
 )
-from .lpcore import EPS_LP, BoxEqLP, LPResult, NumericalFailureError, solve
+from .lpcore import EPS_LP, NumericalFailureError
 from .secondorder import (
     PointClassification,
     classify_point,

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .core import _require_bounded
+from .core import _require_bounded, _require_seed
 from .dynamics import (
     DEFAULT_SCHEDULE,
     GridSpec,
@@ -262,6 +262,7 @@ def cmd_descend(opts: dict) -> int:
     g = _require(opts, "ground_truth", parse_vector)
     if opts.get("u0", "random") == "random":
         seed = _given(opts, seed=int).get("seed", 0)
+        _require_seed(seed)
         u0 = np.random.default_rng(seed).standard_normal(g.size)
     else:
         u0 = _require(opts, "u0", parse_vector)

@@ -105,6 +105,12 @@ def _require_bounded(**values) -> None:
         _check_entries(v, name)
 
 
+def _require_seed(seed) -> None:
+    """Refuse a negative seed by name; default_rng would refuse it unnamed."""
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
+
+
 def _row_blocks(u: np.ndarray) -> list[np.ndarray]:
     """Row blocks of a stack u (K, n), each of at most STACK_ENTRIES residual
     entries; [] when u is one point or fits in one block."""

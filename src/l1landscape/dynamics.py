@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MAX_ENTRY, _pair, _reject_nan, _require_finite, as_vector,
+from .core import (MAX_ENTRY, _pair, _reject_nan, _require_finite, _require_seed, as_vector,
                    midpoint_subgradient, objective)
 from .stationarity import _spurious_distance, distance_to_ground_truths
 
@@ -227,6 +227,7 @@ def conjecture_probe(ustar, schedule: StepSchedule = DEFAULT_SCHEDULE,
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     _require_finite(tau_succ=tau_succ, tau_trap=tau_trap)
+    _require_seed(seed)
     n = ustar.size
 
     finals = np.empty((trials, n))

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS_ZERO, MAX_ENTRY, _pair, as_vector, objective, subdifferential_model
+from .core import (EPS_ZERO, MAX_ENTRY, _pair, _require_seed, as_vector, objective,
+                   subdifferential_model)
 from .stationarity import GROUND_TRUTH_MINUS, GROUND_TRUTH_PLUS, is_stationary_closed_form
 
 HALF_LINE = "half_line"
@@ -143,6 +144,7 @@ def growth_check(ustar, radius: float, samples: int, seed: int = 0) -> GrowthRep
         raise ValueError("radius must be positive, with 2 * radius finite")
     if samples < 0:
         raise ValueError("samples must be nonnegative")
+    _require_seed(seed)
     if float(np.abs(ustar).max()) + radius > MAX_ENTRY:
         raise ValueError(f"radius too large: sampled entries would pass {MAX_ENTRY:g}")
     beta = 0.5 * sharpness_coefficient(ustar)

@@ -7,8 +7,11 @@ off the critical cone and otherwise equals
 
 where Q(u) collects the symmetric matrices inside the residual sign boxes
 that annihilate u. At a spurious point the face is (on the support of ustar)
-the singleton -Sign(ustar ustar^T), which gives the escape value
--||ustar||_1^2 along w = +-ustar - u.
+the singleton -Sign(ustar ustar^T), so the maximum is read in closed form,
+with no LP: the fixed entries F give w^T F w, a free pair on the support
+gives its entry of -Sign(ustar ustar^T), and one off it the extreme of its
+box. Along w = +-ustar - u this is the escape value -||ustar||_1^2, which
+escape_curvature checks to 1e-9 relative to max(1, ||ustar||_1^2).
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 from .core import EPS_ZERO, _pair, subdifferential_model
 from .firstorder import EPS_DIR, _require_stationary
-from .lpcore import OPTIMAL, BoxEqLP, NumericalFailureError, solve
 from .stationarity import (
     GROUND_TRUTH_MINUS,
     GROUND_TRUTH_PLUS,
@@ -35,7 +37,8 @@ SPURIOUS_STATIONARY = "spurious_stationary"
 
 
 def second_subderivative(u, ustar, w) -> float:
-    """d2f(u;0)(w): +inf off the critical cone, else an LP over the face."""
+    """d2f(u;0)(w): +inf off the critical cone, else the face value in
+    closed form (see _second_subderivative)."""
     u, ustar = _pair(u, ustar)
     u, w = _pair(u, w)
     _require_stationary(u, ustar)
@@ -46,31 +49,36 @@ def _second_subderivative(u, ustar, w):
     """second_subderivative at a point already certified stationary.
 
     The face objective <Q, w w^T> splits into the fixed-entry constant plus
-    w_i^2 per free diagonal coordinate and 2 w_i w_j per free off-diagonal
-    pair.
+    coeff_d = w_i^2 per free diagonal pair and 2 w_i w_j per free
+    off-diagonal pair. On supp(ustar) the face is the singleton
+    -Sign(ustar ustar^T), so such a pair adds -s_i s_j coeff_d with
+    s = sign(ustar). A pair off the support adds |coeff_d|: at u = 0 the
+    face is the whole box there, and at any other stationary point the cone
+    holds w to zero off the support, so the term vanishes. The signs are
+    exact, not banded: an entry ustar_i ustar_j inside the zero band still
+    counts with its sign.
     """
     model = subdifferential_model(u, ustar)
     if model.support(w) > EPS_DIR:
         return math.inf
 
     constant = float(w @ model.fixed_sign @ w)
-    p = len(model.free_pairs)
-    if p == 0:
+    if len(model.free_pairs) == 0:
         return constant
     i, j = model.free_pairs.T
     coeffs = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
-    lp = BoxEqLP(-np.ones(p), np.ones(p), model.pair_matrix(), -model.fixed_vector(), coeffs)
-    res = solve(lp)
-    if res.status != OPTIMAL:
-        raise NumericalFailureError(f"face LP ended with status {res.status}: {res.reason}")
-    return constant + res.value
+    s = np.sign(ustar)
+    signs = s[i] * s[j]
+    return constant + float(np.where(signs != 0.0, -signs * coeffs, np.abs(coeffs)).sum())
 
 
 def escape_curvature(u, ustar):
     """Escape direction w = ustar - u at a spurious point, with its curvature.
 
-    The value is -||ustar||_1^2; the LP route must reproduce it to 1e-9,
-    otherwise something is inconsistent and we refuse to return.
+    The value is -||ustar||_1^2. The closed form of the second subderivative
+    must reproduce it to 1e-9 relative to max(1, ||ustar||_1^2), since both
+    round as ||ustar||_1^2; otherwise something is inconsistent and we
+    refuse to return.
     """
     u, ustar = _pair(u, ustar)
     verdict = _require_stationary(u, ustar)
@@ -84,7 +92,7 @@ def _escape_curvature(u, ustar):
     w = ustar - u
     value = _second_subderivative(u, ustar, w)
     expected = -float(np.abs(ustar).sum()) ** 2
-    if abs(value - expected) > 1e-9:
+    if abs(value - expected) > 1e-9 * max(1.0, -expected):
         raise ArithmeticError(
             f"curvature {value} disagrees with -||ustar||_1^2 = {expected}")
     return w, value

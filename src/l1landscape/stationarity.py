@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EPS_ZERO, SubdifferentialModel, _pair, _points, subdifferential_model
+from .core import (EPS_ZERO, SubdifferentialModel, _pair, _points, _require_seed,
+                   subdifferential_model)
 from .lpcore import EPS_LP, feasibility_min_infinity_norm
 
 GROUND_TRUTH_PLUS = "ground_truth_plus"
@@ -211,8 +212,7 @@ def gaussian_separation(n: int, trials: int, seed: int = 0):
     """
     if n < 1 or trials < 1:
         raise ValueError("n and trials must be at least 1")
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     total = np.zeros(trials)
     for _ in range(n):

@@ -1,9 +1,11 @@
 """Numeric and brute-force oracles that check the library from outside.
 
 f and the residual are computed here with their own numpy expressions. The
-only library name used is subdifferential_model, whose free sign pairs the
-support-function enumeration runs over. perfbench_module() loads a module of
-the benchmark, whose workloads and HiGHS oracle some tests reuse.
+library names used are subdifferential_model, whose free sign pairs the
+support-function enumeration and the face LP run over, and the cone slack
+EPS_DIR and the simplex of lpcore, which face_lp_value solves the face LP
+with. perfbench_module() loads a module of the benchmark, whose workloads
+and HiGHS oracle some tests reuse.
 """
 
 import importlib.util
@@ -15,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from l1landscape.core import subdifferential_model
+from l1landscape.firstorder import EPS_DIR
+from l1landscape.lpcore import OPTIMAL, BoxEqLP, NumericalFailureError, solve
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -75,6 +79,32 @@ def second_subderivative_grid(u, ustar, w, t0=1e-2, rho=0.5, k_max=12, delta_w=N
         for wp in cloud:
             best = min(best, (_f(u + t * wp, ustar) - f0) / (0.5 * t * t))
     return best
+
+
+def face_lp_value(u, ustar, w):
+    """d2f(u;0)(w) at a stationary point as the LP over the face Q(u): +inf
+    off the critical cone, else max <Q, w w^T> over the free values x in
+    [-1, 1] with pair_matrix() @ x = -fixed_vector(). The objective splits
+    into the fixed-entry constant plus w_i^2 per free diagonal coordinate
+    and 2 w_i w_j per free off-diagonal pair. The free pairs come from the
+    EPS_ZERO band, so a product ustar_i ustar_j inside it is a whole free
+    box here."""
+    u, ustar, w = (np.asarray(x, dtype=float) for x in (u, ustar, w))
+    model = subdifferential_model(u, ustar)
+    if model.support(w) > EPS_DIR:
+        return math.inf
+
+    constant = float(w @ model.fixed_sign @ w)
+    p = len(model.free_pairs)
+    if p == 0:
+        return constant
+    i, j = model.free_pairs.T
+    coeffs = np.where(i == j, 1.0, 2.0) * w[i] * w[j]
+    lp = BoxEqLP(-np.ones(p), np.ones(p), model.pair_matrix(), -model.fixed_vector(), coeffs)
+    res = solve(lp)
+    if res.status != OPTIMAL:
+        raise NumericalFailureError(f"face LP ended with status {res.status}: {res.reason}")
+    return constant + res.value
 
 
 def enumerate_support_value(u, ustar, w):

@@ -55,13 +55,9 @@ def test_certify_spurious_point(capsys):
     assert cls["escape_direction"] == pytest.approx([2.0, 0.0])
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the escape curvature check is an absolute 1e-9 "
-                          "beside the EPS_ZERO band (scale-covariant tolerances)")
 def test_certify_origin_with_a_tiny_ground_truth_coordinate(capsys):
-    # ustar_2^2 = 6.25e-10 lies in the EPS_ZERO band, so the curvature LP drops
-    # that diagonal term and misses -||ustar||_1^2 by 2 ustar_2^2 = 1.25e-9,
-    # past the absolute 1e-9 check: exit 2, "curvature ... disagrees"
+    # ustar_2^2 = 6.25e-10 lies in the EPS_ZERO band; the closed-form curvature
+    # keeps that diagonal term with its exact sign, so it reads -||ustar||_1^2
     code, out, err = run_cli(capsys, "certify", "-u", "0,0", "-g", "1,2.5e-5")
     assert "disagrees" not in err
     assert code == 0
@@ -436,6 +432,15 @@ def test_tilt_samples_at_the_entry_bound(capsys):
     cells = np.array([row.split(",") for row in out.splitlines()[1:]], dtype=float)
     assert cells.shape == (5, 3)
     assert np.isfinite(cells).all()
+
+
+@pytest.mark.parametrize("line", ["growth-check -g 1,1", "conjecture -g 1,1",
+                                  "descend -g 1,1", "gaussian-sep -n 4"])
+def test_negative_seed_exits_one_by_name(capsys, line):
+    code, out, err = run_cli(capsys, *line.split(), "-s", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be a nonnegative integer\n"
 
 
 def test_unknown_flag_exits_one(capsys):

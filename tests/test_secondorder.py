@@ -36,7 +36,9 @@ from l1landscape.stationarity import (
     min_norm_element,
     project_to_spurious_set,
 )
-from oracles import in_face, perfbench_module, second_subderivative_grid
+import oracles
+from oracles import (certify_scale_point, face_lp_value, in_face, perfbench_module,
+                     second_subderivative_grid)
 
 
 def random_spurious(rng, n):
@@ -185,6 +187,102 @@ def test_numeric_matches_lp_on_escape_directions():
         assert est == pytest.approx(exact, rel=0.05)
 
 
+def in_pin2_class(ustar):
+    """Some product ustar_i ustar_j is nonzero yet inside the EPS_ZERO band:
+    the face LP frees that pair, while the closed form keeps its sign."""
+    product = np.abs(np.outer(ustar, ustar))
+    return bool(np.any((product > 0.0) & (product <= EPS_ZERO)))
+
+
+def face_streams(rng, n):
+    """(u, ustar) per stationary class: spurious points with 0/50/90% of the
+    coordinates on the box face, u = 0, +-ustar, and projections onto the
+    spurious set of a ground truth with zeros."""
+    ustar = rng.standard_normal(n)
+    for fraction in (0.0, 0.5, 0.9):
+        yield perfbench_module("workloads").spurious_point(rng, ustar, fraction), ustar
+    yield np.zeros(n), ustar
+    yield ustar.copy(), ustar
+    yield -ustar, ustar
+    sparse = ustar.copy()
+    sparse[1:][rng.random(n - 1) < 0.4] = 0.0
+    yield project_to_spurious_set(2.0 * rng.standard_normal(n), sparse)[0], sparse
+
+
+def test_closed_form_matches_the_face_lp():
+    """The closed-form d2f equals the face LP of the oracle (same infinite
+    side, 1e-10 relative) and HiGHS on the same face (1e-6), along
+    ustar - u, -ustar - u, a Gaussian and a critical-cone sample."""
+    pytest.importorskip("scipy")
+    highs_face_value = perfbench_module("oracle").highs_face_value
+    rng = np.random.default_rng(11)
+    finite = 0
+    for _ in range(4):
+        for n in range(2, 13):
+            for u, ustar in face_streams(rng, n):
+                if in_pin2_class(ustar):
+                    continue
+                for w in (ustar - u, -ustar - u, rng.standard_normal(n),
+                          critical_cone(u, ustar).sample(rng)):
+                    value = second_subderivative(u, ustar, w)
+                    lp = face_lp_value(u, ustar, w)
+                    assert math.isinf(value) == math.isinf(lp)
+                    if math.isinf(value):
+                        continue
+                    finite += 1
+                    assert abs(value - lp) <= 1e-10 * max(abs(value), abs(lp))
+                    model = subdifferential_model(u, ustar)
+                    i, j = model.free_pairs.T
+                    highs = highs_face_value(model.fixed_sign, model.fixed_vector(),
+                                             model.pair_matrix(), i, j, w)
+                    assert value == pytest.approx(highs, rel=1e-6, abs=1e-6)
+    assert finite >= 500
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the face LP frees a pair whose ustar_i ustar_j lies "
+                          "in the EPS_ZERO band (ROADMAP item 2)")
+def test_face_lp_keeps_the_sign_of_a_product_inside_the_band():
+    # ustar_2^2 = 6.25e-10: the face LP puts +ustar_2^2 where the closed form
+    # has -ustar_2^2, 1.25e-9 apart
+    ustar = np.array([1.0, 2.5e-5])
+    u = np.zeros(2)
+    value = second_subderivative(u, ustar, ustar)
+    assert value == -float(np.abs(ustar).sum()) ** 2
+    assert face_lp_value(u, ustar, ustar) == pytest.approx(value, rel=1e-10)
+
+
+@pytest.mark.parametrize("k", [-4, -2, 0, 2, 4, 6])
+def test_escape_curvature_is_checked_relative_to_its_scale(k):
+    """classify_point(c u, c ustar) reads -||c ustar||_1^2 at c = 2^k on
+    spurious points with 0/50/90% of the coordinates on the box face; the
+    escape check's slack grows as ||ustar||_1^2."""
+    spurious_point = perfbench_module("workloads").spurious_point
+    rng = np.random.default_rng(3)
+    c = 2.0 ** k
+    for t in range(200):
+        n = (3, 5, 10, 20)[t % 4]
+        ustar = rng.standard_normal(n)
+        u = spurious_point(rng, ustar, (0.0, 0.5, 0.9)[t % 3])
+        res = classify_point(c * u, c * ustar)
+        assert res.kind == SPURIOUS_STATIONARY
+        assert res.curvature == pytest.approx(-float(np.abs(c * ustar).sum()) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [10, 20, 30])
+def test_escape_check_at_the_origin_is_relative(k):
+    """At u = 0 the cone test is exact, so the escape check alone decides;
+    an absolute slack of 1e-9 refused about half these ground truths at
+    c = 2^10, where -||ustar||_1^2 is near -1e8."""
+    rng = np.random.default_rng(3)
+    c = 2.0 ** k
+    for t in range(50):
+        ustar = c * rng.standard_normal((3, 5, 10, 20)[t % 4])
+        w, value = escape_curvature(np.zeros(ustar.size), ustar)
+        assert w.tobytes() == ustar.tobytes()
+        assert value == pytest.approx(-float(np.abs(ustar).sum()) ** 2, rel=1e-12)
+
+
 def test_classify_point_examples():
     ustar = np.array([1.0, 1.0])
     res = classify_point(ustar, ustar)
@@ -266,7 +364,6 @@ def test_classify_point_builds_one_model(monkeypatch, point):
 
     monkeypatch.setattr(SubdifferentialModel, "__init__", counting_init)
     monkeypatch.setattr(lpcore, "solve", counting_solve)
-    monkeypatch.setattr(secondorder, "solve", counting_solve)
     monkeypatch.setattr(stationarity, "feasibility_min_infinity_norm", counting_fmin)
     res = classify_point(*point)
     assert res.kind == NOT_STATIONARY
@@ -274,6 +371,21 @@ def test_classify_point_builds_one_model(monkeypatch, point):
     assert len(solves) == 1
     assert len(min_norm) == 1
     assert directional_derivative(*point, res.descent_direction) < -EPS_DIR
+
+
+def test_classify_point_solves_no_lp_at_a_spurious_point(monkeypatch):
+    solves = []
+    simplex = lpcore.solve
+
+    def counting_solve(*args):
+        solves.append(args)
+        return simplex(*args)
+
+    monkeypatch.setattr(lpcore, "solve", counting_solve)
+    for u, ustar in (([-1.0, 1.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, 2.5e-5]),
+                     certify_scale_point(1, 0, "n40/face90")):
+        assert classify_point(u, ustar).kind == SPURIOUS_STATIONARY
+    assert solves == []
 
 
 def dual_route_point():
@@ -482,6 +594,17 @@ def reference_face_coefficients(pairs, w):
     return np.array([w[i] * w[j] if i == j else 2.0 * w[i] * w[j] for i, j in pairs])
 
 
+def reference_closed_form(sign, pairs, ustar, w):
+    """d2f on the cone, one entry and one pair at a time: the fixed entries,
+    then -s_i s_j coeff on a free pair in supp(ustar) and |coeff| off it."""
+    n = w.size
+    value = sum(sign[i, j] * w[i] * w[j] for i in range(n) for j in range(n))
+    for (i, j), coeff in zip(pairs, reference_face_coefficients(pairs, w)):
+        signs = np.sign(ustar[i]) * np.sign(ustar[j])
+        value += -signs * coeff if signs != 0.0 else abs(coeff)
+    return float(value)
+
+
 def reference_points(rng, n):
     """(label, u, ustar) per input class."""
     ustar = rng.standard_normal(n)
@@ -507,15 +630,16 @@ def same_bits(a, b):
 
 def test_array_model_matches_loop_reference(monkeypatch):
     """Free-pair order, pair matrix, assembly and face-LP coefficients agree
-    bit for bit with the loop reference, on every input class."""
+    bit for bit with the loop reference, on every input class, and the
+    closed-form d2f with its loop to 1e-12 relative."""
     objectives = []
-    solve = secondorder.solve
+    solve = oracles.solve
 
     def recording_solve(lp, *args):
         objectives.append(lp.objective)
         return solve(lp, *args)
 
-    monkeypatch.setattr(secondorder, "solve", recording_solve)
+    monkeypatch.setattr(oracles, "solve", recording_solve)
     rng = np.random.default_rng(61)
     seen = set()
     for n in range(1, 13):
@@ -540,7 +664,11 @@ def test_array_model_matches_loop_reference(monkeypatch):
             directions = [ustar - u, -ustar - u] if np.any(ustar) else [rng.standard_normal(n)]
             for w in directions:
                 objectives.clear()
-                second_subderivative(u, ustar, w)
+                value = second_subderivative(u, ustar, w)
+                if math.isfinite(value):
+                    reference = reference_closed_form(sign, pairs, ustar, w)
+                    assert value == pytest.approx(reference, rel=1e-12, abs=0.0)
+                face_lp_value(u, ustar, w)
                 if p == 0:
                     assert objectives == []
                 else:

@@ -4,8 +4,8 @@ A module other than __init__.py imports no name it never uses, every
 module-level _private name is referenced by some module of the package,
 every name a script imports from the package exists (the scripts are
 parsed, never run), the test oracles in tests/oracles.py take nothing
-from the package but subdifferential_model while no library module imports
-them, and no function takes a tolerance as a parameter: the tolerances are
+from the package but subdifferential_model, EPS_DIR and the simplex their
+face LP runs on, while no library module imports them, and no function takes a tolerance as a parameter: the tolerances are
 the module constants EPS_ZERO, EPS_LP and EPS_DIR. Nor does any function
 take a selection or init hook: the dynamics step the midpoint subgradient
 from standard Gaussian starts. A sampler draws from one default_rng(seed)
@@ -160,7 +160,11 @@ def test_every_name_a_script_imports_from_the_package_exists():
 
 def test_oracles_stay_outside_the_library():
     oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
-    assert package_imports(oracles) == {("l1landscape.core", "subdifferential_model")}
+    assert package_imports(oracles) == {
+        ("l1landscape.core", "subdifferential_model"),
+        ("l1landscape.firstorder", "EPS_DIR"),
+        *(("l1landscape.lpcore", name)
+          for name in ("OPTIMAL", "BoxEqLP", "NumericalFailureError", "solve"))}
     imports = [ast.unparse(node) for tree in parse_package().values()
                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert [line for line in imports if "oracles" in line] == []
